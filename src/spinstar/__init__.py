@@ -9,7 +9,6 @@ one-spin-versus-rest negativities.
 """
 
 from .entanglement import (
-    Bipartition,
     NegativityReport,
     NumericalInvariantError,
     multipartite_negativity,
@@ -47,7 +46,6 @@ from .sweep import (
 from .thermal import (
     gibbs_state,
     gibbs_state_from_spectrum,
-    gibbs_weights,
     partial_trace,
     reduced_thermal_state,
     zero_temperature_state,
@@ -56,7 +54,6 @@ from .thermal import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bipartition",
     "GroundManifold",
     "NegativityReport",
     "NumericalInvariantError",
@@ -74,7 +71,6 @@ __all__ = [
     "evaluate_point",
     "gibbs_state",
     "gibbs_state_from_spectrum",
-    "gibbs_weights",
     "ground_manifold",
     "hamiltonian_terms",
     "multipartite_negativity",

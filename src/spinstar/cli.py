@@ -8,24 +8,16 @@ Exit codes: 0 on success, 2 on invalid arguments or unwritable output,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 
 import numpy as np
 
 from .entanglement import NumericalInvariantError
-from .operators import SpinStarParams, build_hamiltonian, sector_map
-from .spectra import analytic_ground_state_m3, analytic_spectrum_m3, ground_manifold, spectrum_blocked
-from .sweep import (
-    SweepGrid,
-    csv_header,
-    evaluate_point,
-    format_float,
-    record_to_csv,
-    record_to_json,
-    run_sweep,
-)
+from .operators import SpinStarParams
+from .spectra import analytic_ground_state_m3, analytic_spectrum_m3, ground_manifold
+from .sweep import SweepGrid, evaluate_point, format_float, open_output, run_sweep, write_records
+from .thermal import star_spectrum
 
 
 def _parse_range(text: str) -> tuple[float, float, int]:
@@ -48,29 +40,20 @@ def _parse_temps(text: str) -> tuple[float, ...]:
     return values
 
 
-@contextlib.contextmanager
-def _open_output(path: str):
-    if path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="ascii") as stream:
-            yield stream
-
-
 def _params_from(args: argparse.Namespace) -> SpinStarParams:
     return SpinStarParams(m=args.m, omega=args.omega, epsilon=args.epsilon, eta=args.eta)
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     params = _params_from(args)
-    spec = spectrum_blocked(build_hamiltonian(params), sector_map(params.n_qubits))
+    spec = star_spectrum(params)
     analytic = None
     max_deviation = None
     if params.m == 3:
         analytic = analytic_spectrum_m3(params.omega, params.epsilon, params.eta)
         max_deviation = float(np.max(np.abs(spec.eigenvalues - analytic)))
 
-    with _open_output(args.output) as stream:
+    with open_output(args.output) as stream:
         if args.format == "json":
             payload = {
                 "m": params.m,
@@ -100,21 +83,15 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 def cmd_negativity(args: argparse.Namespace) -> int:
     params = _params_from(args)
-    if args.t < 0:
-        raise ValueError(f"temperature must be nonnegative, got {args.t}")
     record = evaluate_point(params, args.t)
-    with _open_output(args.output) as stream:
-        if args.format == "json":
-            stream.write(record_to_json(record) + "\n")
-        else:
-            stream.write(csv_header(params.m) + "\n")
-            stream.write(record_to_csv(record) + "\n")
+    with open_output(args.output) as stream:
+        write_records([record], params.m, stream, args.format)
     return 0
 
 
 def cmd_ground(args: argparse.Namespace) -> int:
     params = _params_from(args)
-    spec = spectrum_blocked(build_hamiltonian(params), sector_map(params.n_qubits))
+    spec = star_spectrum(params)
     manifold = ground_manifold(spec)
     fidelity = None
     if params.m == 3 and manifold.degeneracy == 1:
@@ -126,7 +103,7 @@ def cmd_ground(args: argparse.Namespace) -> int:
             overlap = reference.conj() @ manifold.basis[:, 0]
             fidelity = float(abs(overlap) ** 2)
 
-    with _open_output(args.output) as stream:
+    with open_output(args.output) as stream:
         if args.format == "json":
             payload = {
                 "m": params.m,
@@ -157,7 +134,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         temperatures=args.temps,
         output_path=args.output,
     )
-    run_sweep(grid, fmt=args.format, threads=args.threads)
+    run_sweep(grid, fmt=args.format)
     return 0
 
 
@@ -205,8 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--epsilon-range", type=_parse_range, required=True, metavar="MIN:MAX:COUNT")
     p_sweep.add_argument("--eta-range", type=_parse_range, required=True, metavar="MIN:MAX:COUNT")
     p_sweep.add_argument("--temps", type=_parse_temps, required=True, metavar="T1,T2,...")
-    p_sweep.add_argument("--threads", type=int, default=None,
-                         help="worker cap; default is the available parallelism")
     p_sweep.set_defaults(func=cmd_sweep)
     return parser
 

@@ -19,18 +19,10 @@ class NumericalInvariantError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Bipartition:
-    """One side of a cut and its complement, as qubit indices."""
-
-    part_a: tuple[int, ...]
-    part_b: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class NegativityReport:
-    """Per-cut negativities (cuts ordered by spin index) and their geometric mean."""
+    """Per-cut negativities, entry k for spin k against the rest, and their geometric mean."""
 
-    per_cut: tuple[tuple[Bipartition, float], ...]
+    per_cut: tuple[float, ...]
     multipartite: float
 
 
@@ -99,16 +91,10 @@ def multipartite_negativity(rho: np.ndarray, m: int) -> NegativityReport:
     rho = np.asarray(rho)
     if rho.shape != (2 ** m, 2 ** m):
         raise ValueError(f"expected a {2 ** m}x{2 ** m} matrix for m={m}, got {rho.shape}")
-    cuts = []
-    values = []
-    for k in range(m):
-        cut = Bipartition(part_a=(k,), part_b=tuple(j for j in range(m) if j != k))
-        value = negativity(rho, cut.part_a)
-        cuts.append((cut, value))
-        values.append(value)
+    values = tuple(negativity(rho, (k,)) for k in range(m))
     if min(values) == 0.0:
         mean = 0.0
     else:
         # geometric mean through logs: robust to underflow of the raw product
         mean = float(np.exp(np.mean(np.log(values))))
-    return NegativityReport(per_cut=tuple(cuts), multipartite=mean)
+    return NegativityReport(per_cut=values, multipartite=mean)

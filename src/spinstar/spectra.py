@@ -41,16 +41,18 @@ def degeneracy_tolerance(energy: float) -> float:
     return 1e-9 * max(1.0, abs(energy))
 
 
-def eigh(op: np.ndarray) -> SpectralDecomposition:
-    """Full spectrum of a Hermitian matrix, eigenvalues ascending.
-
-    Rejects inputs whose deviation from Hermiticity exceeds 1e-10 in
-    max-norm.
-    """
+def _hermitian(op: np.ndarray) -> np.ndarray:
+    """op as a complex array; rejected if it is not Hermitian to 1e-10 in max-norm."""
     op = np.asarray(op, dtype=complex)
     deviation = np.max(np.abs(op - op.conj().T))
     if deviation > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (max deviation {deviation:.3e})")
+    return op
+
+
+def eigh(op: np.ndarray) -> SpectralDecomposition:
+    """Full spectrum of a Hermitian matrix (checked to 1e-10), eigenvalues ascending."""
+    op = _hermitian(op)
     eigenvalues, eigenvectors = np.linalg.eigh(op)
     return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
@@ -67,9 +69,7 @@ def spectrum_blocked(op: np.ndarray, sectors: SectorMap) -> SpectralDecompositio
     dim = sectors.dim
     if op.shape != (dim, dim):
         raise ValueError(f"operator shape {op.shape} does not match {dim}-dim sector map")
-    deviation = np.max(np.abs(op - op.conj().T))
-    if deviation > HERMITICITY_TOL:
-        raise ValueError(f"matrix is not Hermitian (max deviation {deviation:.3e})")
+    op = _hermitian(op)
 
     labels_by_index = np.empty(dim, dtype=int)
     for k, idx in sectors.sectors:

@@ -1,25 +1,24 @@
 """Deterministic parameter-grid sweeps over (epsilon, eta, t).
 
-Grid cells are pure functions of their inputs, so they can be evaluated by
-any number of workers; results are buffered and written in canonical row
-order (lexicographic by t, then eta, then epsilon), which makes the output
-byte-identical regardless of parallelism.
+Grid cells are pure functions of their inputs and are evaluated one after
+another; rows are written in canonical order (lexicographic by t, then eta,
+then epsilon), so the output is byte-identical across runs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .entanglement import multipartite_negativity
-from .operators import SpinStarParams, build_hamiltonian, sector_map
-from .spectra import ground_manifold, spectrum_blocked
-from .thermal import gibbs_state_from_spectrum, partial_trace, zero_temperature_state
+from .operators import SpinStarParams
+from .spectra import ground_manifold
+from .thermal import check_temperature, reduced_state, star_spectrum
 
 # dims beyond 2**9 make dense grid sweeps impractically slow
 MAX_SWEEP_M = 8
@@ -43,14 +42,16 @@ class SweepGrid:
             raise ValueError(f"omega must be positive, got {self.omega}")
         for name, axis in (("epsilon", self.epsilon_axis), ("eta", self.eta_axis)):
             lo, hi, count = axis
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"{name} axis bounds must be finite, got {lo}:{hi}")
             if count < 1:
                 raise ValueError(f"{name} axis needs count >= 1, got {count}")
             if lo > hi:
                 raise ValueError(f"{name} axis has min {lo} > max {hi}")
         if not self.temperatures:
             raise ValueError("at least one temperature is required")
-        if any(t < 0 for t in self.temperatures):
-            raise ValueError("temperatures must be >= 0 (0 selects the ground-manifold limit)")
+        for t in self.temperatures:
+            check_temperature(t)
 
 
 @dataclass(frozen=True)
@@ -76,23 +77,19 @@ def evaluate_cell(m: int, omega: float, epsilon: float, eta: float,
                   temperatures) -> list[SweepRecord]:
     """All requested temperatures for one coupling pair, one diagonalization."""
     params = SpinStarParams(m=m, omega=omega, epsilon=epsilon, eta=eta)
-    spec = spectrum_blocked(build_hamiltonian(params), sector_map(params.n_qubits))
+    for t in temperatures:
+        check_temperature(t)
+    spec = star_spectrum(params)
     manifold = ground_manifold(spec)
-    keep = range(1, m + 1)
     records = []
     for t in temperatures:
-        if t == 0:
-            full = zero_temperature_state(spec)
-        else:
-            full = gibbs_state_from_spectrum(spec, t, omega)
-        reduced = partial_trace(full, keep, params.n_qubits)
-        report = multipartite_negativity(reduced, m)
+        report = multipartite_negativity(reduced_state(spec, params, t), m)
         records.append(SweepRecord(
             epsilon=float(epsilon),
             eta=float(eta),
             t=float(t),
             neg_multi=report.multipartite,
-            per_cut=tuple(value for _, value in report.per_cut),
+            per_cut=report.per_cut,
             ground_energy=manifold.energy,
             ground_degeneracy=manifold.degeneracy,
             degenerate_cell=manifold.degeneracy > 1,
@@ -105,31 +102,13 @@ def evaluate_point(params: SpinStarParams, t: float) -> SweepRecord:
     return evaluate_cell(params.m, params.omega, params.epsilon, params.eta, (t,))[0]
 
 
-def sweep_records(grid: SweepGrid, threads: int | None = None) -> list[SweepRecord]:
+def sweep_records(grid: SweepGrid) -> list[SweepRecord]:
     """Evaluate every grid cell; rows ordered lexicographically by (t, eta, epsilon)."""
     eps_values = axis_values(grid.epsilon_axis)
-    eta_values = axis_values(grid.eta_axis)
     temps = tuple(sorted(grid.temperatures))
-    cells = [(eps, eta) for eta in eta_values for eps in eps_values]
-
-    def work(cell):
-        eps, eta = cell
-        return evaluate_cell(grid.m, grid.omega, eps, eta, temps)
-
-    if threads is not None and threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-    if threads == 1:
-        per_cell = [work(cell) for cell in cells]
-    else:
-        workers = threads if threads is not None else (os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_cell = list(pool.map(work, cells))
-
-    records = []
-    for t_index in range(len(temps)):
-        for cell_index in range(len(cells)):
-            records.append(per_cell[cell_index][t_index])
-    return records
+    per_cell = [evaluate_cell(grid.m, grid.omega, eps, eta, temps)
+                for eta in axis_values(grid.eta_axis) for eps in eps_values]
+    return [cell[t_index] for t_index in range(len(temps)) for cell in per_cell]
 
 
 def format_float(value: float) -> str:
@@ -183,12 +162,19 @@ def write_records(records, m: int, stream, fmt: str = "csv") -> None:
         raise ValueError(f"unknown output format {fmt!r}")
 
 
-def run_sweep(grid: SweepGrid, fmt: str = "csv", threads: int | None = None) -> list[SweepRecord]:
-    """Evaluate the grid and write it to grid.output_path ('-' for stdout)."""
-    records = sweep_records(grid, threads=threads)
-    if grid.output_path == "-":
-        write_records(records, grid.m, sys.stdout, fmt)
+@contextlib.contextmanager
+def open_output(path: str):
+    """Text stream for path, or stdout for '-'."""
+    if path == "-":
+        yield sys.stdout
     else:
-        with open(grid.output_path, "w", encoding="ascii") as stream:
-            write_records(records, grid.m, stream, fmt)
+        with open(path, "w", encoding="ascii") as stream:
+            yield stream
+
+
+def run_sweep(grid: SweepGrid, fmt: str = "csv") -> list[SweepRecord]:
+    """Evaluate the grid and write it to grid.output_path ('-' for stdout)."""
+    records = sweep_records(grid)
+    with open_output(grid.output_path) as stream:
+        write_records(records, grid.m, stream, fmt)
     return records

@@ -8,18 +8,21 @@ t -> 0+ limit of the Gibbs family.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .operators import SpinStarParams, build_hamiltonian, sector_map
-from .spectra import (
-    SpectralDecomposition,
-    eigh,
-    ground_manifold,
-    spectrum_blocked,
-)
+from .spectra import SpectralDecomposition, eigh, ground_manifold, spectrum_blocked
 
 # Boltzmann weights below this are flushed to zero after the max shift.
 WEIGHT_FLOOR = 1e-300
+
+
+def check_temperature(t: float) -> None:
+    """Accept only a finite t >= 0; t = 0 selects the ground-manifold limit."""
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"temperature must be finite and >= 0, got {t}")
 
 
 def _as_state(rho: np.ndarray) -> np.ndarray:
@@ -27,43 +30,38 @@ def _as_state(rho: np.ndarray) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def gibbs_weights(eigenvalues: np.ndarray, t: float, energy_scale: float) -> np.ndarray:
-    """Normalized Boltzmann weights exp(-(E - E_min)/(t*energy_scale))."""
-    if t <= 0:
-        raise ValueError(f"temperature must be positive, got {t}")
-    if energy_scale <= 0:
-        raise ValueError(f"energy scale must be positive, got {energy_scale}")
-    shifted = np.asarray(eigenvalues, dtype=float) - float(np.min(eigenvalues))
-    weights = np.exp(-shifted / (t * energy_scale))
-    weights[weights < WEIGHT_FLOOR] = 0.0
-    return weights / weights.sum()
-
-
 def gibbs_state_from_spectrum(spec: SpectralDecomposition, t: float,
                               energy_scale: float = 1.0) -> np.ndarray:
-    """Gibbs state assembled from a precomputed spectral decomposition."""
+    """Gibbs state exp(-H/(t*energy_scale)) / Z from a precomputed spectrum.
+
+    The minimum eigenvalue is subtracted in the exponent, so it is overflow
+    safe at any temperature; t = 0 returns the ground-manifold mixture.
+    """
+    check_temperature(t)
+    if not energy_scale > 0:
+        raise ValueError(f"energy scale must be positive, got {energy_scale}")
     if t == 0:
         return zero_temperature_state(spec)
-    weights = gibbs_weights(spec.eigenvalues, t, energy_scale)
+    shifted = spec.eigenvalues - float(np.min(spec.eigenvalues))
+    weights = np.exp(-shifted / (t * energy_scale))
+    weights[weights < WEIGHT_FLOOR] = 0.0
+    weights = weights / weights.sum()
     rho = (spec.eigenvectors * weights) @ spec.eigenvectors.conj().T
     return _as_state(rho)
 
 
-def gibbs_state(h: np.ndarray, t: float, energy_scale: float = 1.0) -> np.ndarray:
-    """Normalized thermal state exp(-h/(t*energy_scale)) / Z.
+def gibbs_state(h: np.ndarray, t: float) -> np.ndarray:
+    """Thermal state exp(-h/t) / Z of a dense Hermitian matrix, by full eigh.
 
-    Computed through the spectral decomposition with the minimum eigenvalue
-    subtracted in the exponent, so it is overflow safe at any temperature.
     t = 0 returns the uniform mixture over the ground manifold.
     """
-    if t < 0:
-        raise ValueError(f"temperature must be nonnegative, got {t}")
-    return gibbs_state_from_spectrum(eigh(h), t, energy_scale)
+    check_temperature(t)
+    return gibbs_state_from_spectrum(eigh(h), t)
 
 
-def zero_temperature_state(spec: SpectralDecomposition, tol: float | None = None) -> np.ndarray:
+def zero_temperature_state(spec: SpectralDecomposition) -> np.ndarray:
     """Uniform mixture over the ground manifold, the t -> 0+ Gibbs limit."""
-    manifold = ground_manifold(spec, tol)
+    manifold = ground_manifold(spec)
     basis = manifold.basis
     return _as_state((basis @ basis.conj().T) / manifold.degeneracy)
 
@@ -102,19 +100,18 @@ def partial_trace(rho: np.ndarray, keep, n_qubits: int) -> np.ndarray:
     return np.einsum(subs, tensor).reshape(reduced_dim, reduced_dim)
 
 
-def reduced_thermal_state(params: SpinStarParams, t: float,
-                          degeneracy_tol: float | None = None) -> np.ndarray:
-    """Thermal state of the full star with the central spin traced out.
+def star_spectrum(params: SpinStarParams) -> SpectralDecomposition:
+    """Sector-blocked spectrum of the spin-star Hamiltonian."""
+    return spectrum_blocked(build_hamiltonian(params), sector_map(params.n_qubits))
 
-    Uses the sector-blocked diagonalization; t = 0 takes the ground-manifold
-    limit with the given (or default) degeneracy tolerance.
-    """
-    if t < 0:
-        raise ValueError(f"temperature must be nonnegative, got {t}")
-    h = build_hamiltonian(params)
-    spec = spectrum_blocked(h, sector_map(params.n_qubits))
-    if t == 0:
-        full = zero_temperature_state(spec, degeneracy_tol)
-    else:
-        full = gibbs_state_from_spectrum(spec, t, params.omega)
+
+def reduced_state(spec: SpectralDecomposition, params: SpinStarParams, t: float) -> np.ndarray:
+    """Gibbs state of the star at t, from its spectrum, with the central spin traced out."""
+    full = gibbs_state_from_spectrum(spec, t, params.omega)
     return partial_trace(full, range(1, params.m + 1), params.n_qubits)
+
+
+def reduced_thermal_state(params: SpinStarParams, t: float) -> np.ndarray:
+    """Thermal state of the full star with the central spin traced out."""
+    check_temperature(t)
+    return reduced_state(star_spectrum(params), params, t)

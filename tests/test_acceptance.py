@@ -278,7 +278,7 @@ def test_criterion_10_larger_rings_sweep():
     for m in (4, 5):
         grid = SweepGrid(m=m, omega=1.0, epsilon_axis=(0.0, 10.0, 41),
                          eta_axis=(0.0, 10.0, 41), temperatures=(0.01,))
-        records = sweep_records(grid, threads=1)
+        records = sweep_records(grid)
         values = np.array([r.neg_multi for r in records]).reshape(41, 41)  # [eta, eps]
         found = (any(drop_then_rise(values[i, :], 1e-3) for i in range(41))
                  or any(drop_then_rise(values[:, j], 1e-3) for j in range(41)))

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -130,7 +131,7 @@ def test_sweep_writes_csv_file(tmp_path, capsys):
 def test_sweep_json_lines_to_stdout(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--m", "3", "--epsilon-range", "0:1:2",
                            "--eta-range", "0:1:2", "--temps", "0.1",
-                           "--format", "json", "--threads", "1")
+                           "--format", "json")
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 4
@@ -171,6 +172,33 @@ def test_invalid_params_return_2(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "spectrum", "--omega", "-2")
     assert code == 2
+
+
+SWEEP = ("sweep", "--m", "3", "--epsilon-range", "0:1:2", "--eta-range", "0:1:2")
+
+
+@pytest.mark.parametrize("argv, named", [
+    pytest.param(("negativity", "--t", "nan"), "temperature must be finite and >= 0, got nan",
+                 id="t-nan"),
+    pytest.param(("negativity", "--t", "inf"), "temperature must be finite and >= 0, got inf",
+                 id="t-inf"),
+    pytest.param((*SWEEP, "--temps", "0.1,nan"), "temperature must be finite and >= 0, got nan",
+                 id="temps-nan"),
+    pytest.param(("sweep", "--m", "3", "--epsilon-range", "0:inf:3", "--eta-range", "0:1:2",
+                  "--temps", "0.1"), "epsilon axis bounds must be finite, got 0.0:inf",
+                 id="epsilon-range-inf"),
+    # never evaluated: m above MAX_M is refused before any matrix is built
+    pytest.param(("spectrum", "--m", "13"), "got m=13", id="spectrum-m13"),
+    pytest.param(("negativity", "--m", "13", "--t", "0.1"), "got m=13", id="negativity-m13"),
+    pytest.param(("ground", "--m", "40"), "got m=40", id="ground-m40"),
+])
+def test_out_of_range_inputs_exit_2_up_front(capsys, argv, named):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and named in err
 
 
 def test_unwritable_output_returns_2(tmp_path, capsys):

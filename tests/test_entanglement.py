@@ -116,7 +116,7 @@ def test_negativity_floor_violation_raises():
 
 def test_multipartite_ghz():
     report = multipartite_negativity(dm(ghz_state()), 3)
-    for _, value in report.per_cut:
+    for value in report.per_cut:
         assert abs(value - 1.0) < 1e-10
     assert abs(report.multipartite - 1.0) < 1e-10
 
@@ -124,26 +124,30 @@ def test_multipartite_ghz():
 def test_multipartite_biseparable_is_exactly_zero():
     rho = np.kron(np.diag([1.0, 0.0]).astype(complex), dm(bell_state()))
     report = multipartite_negativity(rho, 3)
-    assert report.per_cut[0][1] == 0.0
+    assert report.per_cut[0] == 0.0
     assert report.multipartite == 0.0
 
 
 def test_multipartite_fully_mixed_is_zero():
     report = multipartite_negativity(np.eye(8) / 8, 3)
-    assert all(value == 0.0 for _, value in report.per_cut)
+    assert all(value == 0.0 for value in report.per_cut)
     assert report.multipartite == 0.0
 
 
 def test_multipartite_cut_ordering_and_partitions():
-    report = multipartite_negativity(np.eye(16) / 16, 4)
-    assert [cut.part_a for cut, _ in report.per_cut] == [(0,), (1,), (2,), (3,)]
-    assert report.per_cut[1][0].part_b == (0, 2, 3)
+    # spins 1 and 2 share a Bell pair, spins 0 and 3 are product: the cuts differ
+    vacuum = np.diag([1.0, 0.0]).astype(complex)
+    rho = np.kron(np.kron(vacuum, dm(bell_state())), vacuum)
+    report = multipartite_negativity(rho, 4)
+    assert report.per_cut[0] == 0.0 < report.per_cut[1]
+    for k in range(4):
+        assert report.per_cut[k] == negativity(rho, (k,))
 
 
 def test_multipartite_geometric_mean_value():
     params = SpinStarParams(m=3, omega=1.0, epsilon=2.0, eta=0.7)
     report = multipartite_negativity(reduced_thermal_state(params, 0.2), 3)
-    values = [value for _, value in report.per_cut]
+    values = report.per_cut
     assert report.multipartite == pytest.approx(np.prod(values) ** (1 / 3), abs=1e-12)
 
 
@@ -170,7 +174,7 @@ def test_local_unitary_invariance():
 def test_thermal_state_cuts_are_symmetric(m):
     params = SpinStarParams(m=m, omega=1.0, epsilon=1.0, eta=0.5)
     report = multipartite_negativity(reduced_thermal_state(params, 0.01), m)
-    values = [value for _, value in report.per_cut]
+    values = report.per_cut
     assert max(values) - min(values) < 1e-10
 
 

@@ -49,7 +49,7 @@ def test_single_cell_grid(tmp_path):
 
 
 def test_row_order_is_lexicographic_in_t_eta_epsilon():
-    records = sweep_records(small_grid(temperatures=(0.5, 0.01)), threads=1)
+    records = sweep_records(small_grid(temperatures=(0.5, 0.01)))
     keys = [(r.t, r.eta, r.epsilon) for r in records]
     assert keys == sorted(keys)
     assert len(records) == 3 * 2 * 2
@@ -57,21 +57,10 @@ def test_row_order_is_lexicographic_in_t_eta_epsilon():
 
 def test_sweep_matches_single_point_evaluation():
     grid = small_grid(temperatures=(0.01,))
-    records = sweep_records(grid, threads=1)
+    records = sweep_records(grid)
     probe = next(r for r in records if r.epsilon == 1.0 and r.eta == 1.0)
     single = evaluate_point(SpinStarParams(m=3, omega=1.0, epsilon=1.0, eta=1.0), 0.01)
     assert record_to_csv(probe) == record_to_csv(single)
-
-
-def test_output_independent_of_worker_count(tmp_path):
-    texts = []
-    for threads in (1, 4):
-        path = tmp_path / f"t{threads}.csv"
-        grid = SweepGrid(m=3, omega=1.0, epsilon_axis=(0.0, 4.0, 5), eta_axis=(0.0, 4.0, 4),
-                         temperatures=(0.01, 1.0), output_path=str(path))
-        run_sweep(grid, threads=threads)
-        texts.append(path.read_bytes())
-    assert texts[0] == texts[1]
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):
@@ -94,7 +83,7 @@ def test_csv_schema_matches_m():
 def test_degenerate_cells_are_flagged():
     grid = SweepGrid(m=3, omega=1.0, epsilon_axis=(1.0, 1.0, 1), eta_axis=(0.5, 2.0, 2),
                      temperatures=(0.0,))
-    records = sweep_records(grid, threads=1)
+    records = sweep_records(grid)
     by_eta = {r.eta: r for r in records}
     assert by_eta[0.5].ground_degeneracy == 1
     assert not by_eta[0.5].degenerate_cell
@@ -105,7 +94,7 @@ def test_degenerate_cells_are_flagged():
 def test_zero_temperature_rows_use_ground_limit():
     grid = SweepGrid(m=3, omega=1.0, epsilon_axis=(1.0, 1.0, 1), eta_axis=(2.0, 2.0, 1),
                      temperatures=(0.0, 0.01))
-    records = sweep_records(grid, threads=1)
+    records = sweep_records(grid)
     cold, frozen = records[1], records[0]
     assert frozen.t == 0.0
     assert abs(cold.neg_multi - frozen.neg_multi) < 1e-6
@@ -113,7 +102,7 @@ def test_zero_temperature_rows_use_ground_limit():
 
 def test_json_records_roundtrip():
     grid = small_grid(temperatures=(0.2,))
-    records = sweep_records(grid, threads=1)
+    records = sweep_records(grid)
     stream = io.StringIO()
     write_records(records, grid.m, stream, fmt="json")
     lines = stream.getvalue().splitlines()
@@ -136,11 +125,6 @@ def test_float_formatting_is_stable():
     assert format_float(0.1) == "0.1"
     assert format_float(1e-17) == "1e-17"
     assert len(format_float(np.pi).replace(".", "").replace("-", "")) <= 12
-
-
-def test_threads_validation():
-    with pytest.raises(ValueError):
-        sweep_records(small_grid(), threads=0)
 
 
 def test_negativity_vs_eta_dips_then_plateaus():
@@ -176,7 +160,7 @@ def test_axis_sweeps_each_coupling_alone_entangles():
     star_only = SweepGrid(m=3, omega=1.0, epsilon_axis=(0.0, 10.0, 11),
                           eta_axis=(0.0, 0.0, 1), temperatures=(0.01,))
     for grid in (ring_only, star_only):
-        values = np.array([r.neg_multi for r in sweep_records(grid, threads=1)])
+        values = np.array([r.neg_multi for r in sweep_records(grid)])
         assert values.min() >= 0.0
         assert values.max() > 0.0
 
