@@ -20,7 +20,6 @@ from .operators import (
     SpinStarParams,
     build_hamiltonian,
     hamiltonian_terms,
-    number_operator,
     pauli_operator,
     restrict_to_sector,
     sector_map,
@@ -75,7 +74,6 @@ __all__ = [
     "hamiltonian_terms",
     "multipartite_negativity",
     "negativity",
-    "number_operator",
     "partial_trace",
     "partial_transpose",
     "pauli_operator",

@@ -15,20 +15,21 @@ from functools import lru_cache
 
 import numpy as np
 
-_IDENTITY = np.eye(2, dtype=complex)
+_IDENTITY = np.eye(2)
 
 # Single-qubit operators in basis order |0>, |1> with the convention
-# sigma_z|1> = +|1>, sigma_z|0> = -|0> and sigma_+|0> = |1>.
+# sigma_z|1> = +|1>, sigma_z|0> = -|0> and sigma_+|0> = |1>; all but sigma_y are real.
 _SINGLE_SITE = {
-    "z": np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex),
-    "plus": np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex),
-    "minus": np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
-    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "y": np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex),
+    "z": np.array([[-1.0, 0.0], [0.0, 1.0]]),
+    "plus": np.array([[0.0, 0.0], [1.0, 0.0]]),
+    "minus": np.array([[0.0, 1.0], [0.0, 0.0]]),
+    "x": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "y": np.array([[0.0, 1.0j], [-1.0j, 0.0]]),
 }
 
-# One point at m=11 takes about 47 s and 1.9 GiB on a 2-vCPU machine; each
-# further spin quadruples the dense 2^(m+1)-dimensional matrices.
+# One negativity point takes 0.8 s and 102 MiB at m=9, 4.9 s and 268 MiB at
+# m=10, and 26 s and 1.0 GiB at m=11 on a 2-vCPU machine; each further spin
+# quadruples the dense 2^(m+1)-dimensional real matrices.
 MAX_M = 11
 
 
@@ -75,16 +76,9 @@ class SectorMap:
         return 2 ** self.n_qubits
 
 
-@lru_cache(maxsize=32)
-def _popcounts(n_qubits: int) -> np.ndarray:
-    counts = np.array([i.bit_count() for i in range(2 ** n_qubits)])
-    counts.setflags(write=False)
-    return counts
-
-
 def _embedded(site_ops: dict[int, np.ndarray], n_qubits: int) -> np.ndarray:
     """Kronecker chain with the given operators at their sites, identity elsewhere."""
-    out = np.ones((1, 1), dtype=complex)
+    out = np.ones((1, 1))
     for site in range(n_qubits):
         out = np.kron(out, site_ops.get(site, _IDENTITY))
     return out
@@ -93,7 +87,8 @@ def _embedded(site_ops: dict[int, np.ndarray], n_qubits: int) -> np.ndarray:
 def pauli_operator(site: int, kind: str, n_qubits: int) -> np.ndarray:
     """Single-site operator embedded in the full 2^n_qubits-dimensional space.
 
-    kind is one of 'z', 'plus', 'minus', 'x', 'y'.
+    kind is one of 'z', 'plus', 'minus', 'x', 'y'; the result is real
+    float64 for every kind but 'y', which is complex.
     """
     if n_qubits <= 0:
         raise ValueError(f"n_qubits must be positive, got {n_qubits}")
@@ -104,13 +99,6 @@ def pauli_operator(site: int, kind: str, n_qubits: int) -> np.ndarray:
     except KeyError:
         raise ValueError(f"unknown operator kind {kind!r}") from None
     return _embedded({site: mat}, n_qubits)
-
-
-def number_operator(n_qubits: int) -> np.ndarray:
-    """Total excitation number, diagonal with the popcount of each basis index."""
-    if n_qubits <= 0:
-        raise ValueError(f"n_qubits must be positive, got {n_qubits}")
-    return np.diag(_popcounts(n_qubits).astype(complex))
 
 
 @lru_cache(maxsize=16)
@@ -144,18 +132,19 @@ def build_hamiltonian(params: SpinStarParams) -> np.ndarray:
     Sum of the free splitting (omega/2) sigma_z on every spin, the exchange
     coupling epsilon between each peripheral spin and the central one, and
     the exchange coupling eta between neighboring peripheral spins on the
-    ring.  The result is Hermitian, traceless, and commutes with the total
-    excitation number.
+    ring.  The result is real symmetric float64, traceless, and commutes
+    with the total excitation number.
     """
     t_omega, t_epsilon, t_eta = hamiltonian_terms(params.m)
     return params.omega * t_omega + params.epsilon * t_epsilon + params.eta * t_eta
 
 
+@lru_cache(maxsize=32)
 def sector_map(n_qubits: int) -> SectorMap:
-    """Basis indices grouped by excitation number k = 0 .. n_qubits."""
+    """Basis indices grouped by excitation number k = 0 .. n_qubits; cached, read-only."""
     if n_qubits < 1:
         raise ValueError(f"n_qubits must be at least 1, got {n_qubits}")
-    counts = _popcounts(n_qubits)
+    counts = np.array([i.bit_count() for i in range(2 ** n_qubits)])
     sectors = []
     for k in range(n_qubits + 1):
         idx = np.where(counts == k)[0]

@@ -42,8 +42,8 @@ def degeneracy_tolerance(energy: float) -> float:
 
 
 def _hermitian(op: np.ndarray) -> np.ndarray:
-    """op as a complex array; rejected if it is not Hermitian to 1e-10 in max-norm."""
-    op = np.asarray(op, dtype=complex)
+    """op as an array of its own dtype; rejected if not Hermitian to 1e-10 in max-norm."""
+    op = np.asarray(op)
     deviation = np.max(np.abs(op - op.conj().T))
     if deviation > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (max deviation {deviation:.3e})")
@@ -65,10 +65,9 @@ def spectrum_blocked(op: np.ndarray, sectors: SectorMap) -> SpectralDecompositio
     and the result is sorted by eigenvalue, with exact ties broken by sector
     label and then insertion order so output is reproducible.
     """
-    op = np.asarray(op, dtype=complex)
     dim = sectors.dim
-    if op.shape != (dim, dim):
-        raise ValueError(f"operator shape {op.shape} does not match {dim}-dim sector map")
+    if np.shape(op) != (dim, dim):
+        raise ValueError(f"operator shape {np.shape(op)} does not match {dim}-dim sector map")
     op = _hermitian(op)
 
     labels_by_index = np.empty(dim, dtype=int)
@@ -83,10 +82,8 @@ def spectrum_blocked(op: np.ndarray, sectors: SectorMap) -> SpectralDecompositio
     labels = []
     columns = []
     for k, idx in sectors.sectors:
-        if idx.size == 0:
-            continue
         w, v = np.linalg.eigh(op[np.ix_(idx, idx)])
-        embedded = np.zeros((dim, idx.size), dtype=complex)
+        embedded = np.zeros((dim, idx.size), dtype=v.dtype)
         embedded[idx, :] = v
         eigenvalues.append(w)
         labels.append(np.full(idx.size, k, dtype=int))
@@ -131,7 +128,7 @@ def analytic_ground_state_m3(epsilon: float, eta: float) -> np.ndarray:
     state in the regime where the central coupling dominates the ring one.
     """
     root = np.sqrt(3.0 * epsilon ** 2 + eta ** 2)
-    vec = np.zeros(16, dtype=complex)
+    vec = np.zeros(16)
     vec[0b1000] = eta + root
     vec[0b0100] = -epsilon
     vec[0b0010] = -epsilon
@@ -142,15 +139,28 @@ def analytic_ground_state_m3(epsilon: float, eta: float) -> np.ndarray:
     return vec / norm
 
 
+def level_energies(eigenvalues: np.ndarray, tol: float | None = None) -> np.ndarray:
+    """Each ascending eigenvalue replaced by the lowest eigenvalue of its level.
+
+    A level is a run of eigenvalues whose neighbouring gaps are all at most
+    tol, by default degeneracy_tolerance of the lowest eigenvalue, so
+    floating-point splittings inside a degenerate level never separate it.
+    """
+    if tol is None:
+        tol = degeneracy_tolerance(float(eigenvalues[0]))
+    opens = np.concatenate(([True], np.diff(eigenvalues) > tol))
+    return eigenvalues[opens][np.cumsum(opens) - 1]
+
+
 def ground_manifold(spec: SpectralDecomposition, tol: float | None = None) -> GroundManifold:
-    """Eigenpairs within tol of the lowest eigenvalue, as an orthonormal basis."""
+    """Eigenpairs of the lowest level (see level_energies), as an orthonormal basis."""
     if spec.dim == 0:
         raise ValueError("empty spectral decomposition")
+    energy = float(spec.eigenvalues[0])
     if tol is None:
-        tol = degeneracy_tolerance(float(spec.eigenvalues[0]))
+        tol = degeneracy_tolerance(energy)
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    energy = float(spec.eigenvalues[0])
-    count = int(np.searchsorted(spec.eigenvalues, energy + tol, side="right"))
+    count = int(np.count_nonzero(level_energies(spec.eigenvalues, tol) == energy))
     return GroundManifold(energy=energy, degeneracy=count,
                           basis=spec.eigenvectors[:, :count].copy(), tolerance=float(tol))

@@ -16,12 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import multipartite_negativity
-from .operators import SpinStarParams
+from .operators import MAX_M, SpinStarParams
 from .spectra import ground_manifold
 from .thermal import check_temperature, reduced_state, star_spectrum
-
-# dims beyond 2**9 make dense grid sweeps impractically slow
-MAX_SWEEP_M = 8
 
 
 @dataclass(frozen=True)
@@ -36,8 +33,8 @@ class SweepGrid:
     output_path: str = "-"
 
     def __post_init__(self):
-        if not 2 <= self.m <= MAX_SWEEP_M:
-            raise ValueError(f"sweep supports 2 <= m <= {MAX_SWEEP_M}, got {self.m}")
+        if not 2 <= self.m <= MAX_M:
+            raise ValueError(f"sweep supports 2 <= m <= {MAX_M}, got m={self.m}")
         if not self.omega > 0:
             raise ValueError(f"omega must be positive, got {self.omega}")
         for name, axis in (("epsilon", self.epsilon_axis), ("eta", self.eta_axis)):

@@ -13,9 +13,10 @@ import math
 import numpy as np
 
 from .operators import SpinStarParams, build_hamiltonian, sector_map
-from .spectra import SpectralDecomposition, eigh, ground_manifold, spectrum_blocked
+from .spectra import (SpectralDecomposition, eigh, ground_manifold, level_energies,
+                      spectrum_blocked)
 
-# Boltzmann weights below this are flushed to zero after the max shift.
+# Boltzmann weights below this, relative to the ground level's 1, are dropped.
 WEIGHT_FLOOR = 1e-300
 
 
@@ -34,20 +35,24 @@ def gibbs_state_from_spectrum(spec: SpectralDecomposition, t: float,
                               energy_scale: float = 1.0) -> np.ndarray:
     """Gibbs state exp(-H/(t*energy_scale)) / Z from a precomputed spectrum.
 
-    The minimum eigenvalue is subtracted in the exponent, so it is overflow
-    safe at any temperature; t = 0 returns the ground-manifold mixture.
+    Each level (see level_energies) gets one weight, taken relative to the
+    ground level, which keeps degenerate levels symmetric; t*energy_scale = 0,
+    also by underflow, gives the ground-manifold mixture.
     """
     check_temperature(t)
     if not energy_scale > 0:
         raise ValueError(f"energy scale must be positive, got {energy_scale}")
-    if t == 0:
+    kt = t * energy_scale
+    if kt == 0:
         return zero_temperature_state(spec)
-    shifted = spec.eigenvalues - float(np.min(spec.eigenvalues))
-    weights = np.exp(-shifted / (t * energy_scale))
-    weights[weights < WEIGHT_FLOOR] = 0.0
-    weights = weights / weights.sum()
-    rho = (spec.eigenvectors * weights) @ spec.eigenvectors.conj().T
-    return _as_state(rho)
+    gaps = level_energies(spec.eigenvalues) - spec.eigenvalues[0]
+    # a gap/kt past the float range is weight 0, not a warning
+    with np.errstate(over="ignore"):
+        weights = np.exp(-gaps / kt)
+    keep = weights >= WEIGHT_FLOOR
+    vectors = spec.eigenvectors[:, keep]
+    weights = weights[keep] / weights[keep].sum()
+    return _as_state((vectors * weights) @ vectors.conj().T)
 
 
 def gibbs_state(h: np.ndarray, t: float) -> np.ndarray:

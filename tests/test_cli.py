@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -151,6 +152,35 @@ def test_sweep_cell_matches_negativity_command(tmp_path, capsys):
     assert row in sweep_lines
 
 
+def test_one_cell_m9_sweep_matches_negativity_command(capsys):
+    # sweeps share the point commands' m ceiling
+    code, sweep_out, _ = run_cli(capsys, "sweep", "--m", "9", "--epsilon-range", "1:1:1",
+                                 "--eta-range", "1:1:1", "--temps", "0.1")
+    assert code == 0
+    code, point_out, _ = run_cli(capsys, "negativity", "--m", "9", "--epsilon", "1",
+                                 "--eta", "1", "--t", "0.1")
+    assert code == 0
+    assert sweep_out == point_out and len(sweep_out.splitlines()) == 2
+
+
+@pytest.mark.parametrize("omega, t", [
+    ("1e-300", "1e-30"),  # t * omega underflows to 0: the t -> 0+ limit
+    ("1e-300", "1e-15"),  # every gap / (t * omega) overflows: weight 0 above the ground level
+    ("1e10", "1e300"),  # t * omega overflows to inf: the maximally mixed state
+])
+def test_extreme_thermal_energy_gives_finite_equal_cuts(capsys, omega, t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "negativity", "--m", "3", "--omega", omega,
+                                 "--epsilon", "1", "--eta", "1", "--t", t)
+    assert code == 0 and err == ""
+    _, rows = parse_csv(out)
+    values = {name: float(value) for name, value in rows[0].items() if name != "degenerate_cell"}
+    assert all(math.isfinite(value) for value in values.values())
+    cuts = [values[f"neg_cut_{k}"] for k in (1, 2, 3)]
+    assert max(cuts) - min(cuts) <= 1e-12
+
+
 def test_invalid_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["frobnicate"])
@@ -191,6 +221,8 @@ SWEEP = ("sweep", "--m", "3", "--epsilon-range", "0:1:2", "--eta-range", "0:1:2"
     pytest.param(("spectrum", "--m", "13"), "got m=13", id="spectrum-m13"),
     pytest.param(("negativity", "--m", "13", "--t", "0.1"), "got m=13", id="negativity-m13"),
     pytest.param(("ground", "--m", "40"), "got m=40", id="ground-m40"),
+    pytest.param(("sweep", "--m", "12", "--epsilon-range", "0:1:2", "--eta-range", "0:1:2",
+                  "--temps", "0.1"), "got m=12", id="sweep-m12"),
 ])
 def test_out_of_range_inputs_exit_2_up_front(capsys, argv, named):
     with warnings.catch_warnings():

@@ -11,6 +11,7 @@ from spinstar import (
     run_sweep,
     sweep_records,
 )
+from spinstar.operators import MAX_M
 from spinstar.sweep import csv_header, record_to_csv, write_records
 
 
@@ -23,7 +24,7 @@ def small_grid(**overrides):
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        small_grid(m=9)
+        small_grid(m=MAX_M + 1)
     with pytest.raises(ValueError):
         small_grid(m=1)
     with pytest.raises(ValueError):

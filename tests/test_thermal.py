@@ -14,6 +14,7 @@ from spinstar import (
     spectrum_blocked,
     zero_temperature_state,
 )
+from spinstar.thermal import star_spectrum
 
 from oracles import (
     bell_state,
@@ -113,6 +114,26 @@ def test_zero_temperature_is_cold_gibbs_limit():
         cold = gibbs_state(h, 1e-4)
         frozen = zero_temperature_state(eigh(h))
         assert np.max(np.abs(cold - frozen)) < 1e-6
+
+
+def test_cold_limit_of_degenerate_crossing_keeps_cut_symmetry():
+    # six-fold ground level at epsilon = eta = omega, m = 3: the levels above
+    # it lie 2 omega higher, so every t below carries the t = 0 state
+    params = SpinStarParams(m=3, omega=1.0, epsilon=1.0, eta=1.0)
+    frozen = multipartite_negativity(reduced_thermal_state(params, 0.0), 3).multipartite
+    assert frozen > 0.03
+    for t in (1e-15, 1e-13, 1e-9):
+        report = multipartite_negativity(reduced_thermal_state(params, t), 3)
+        assert max(report.per_cut) - min(report.per_cut) <= 1e-12
+        assert abs(report.multipartite - frozen) <= 1e-9
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_star_pipeline_is_real_float64(m):
+    params = SpinStarParams(m=m, omega=1.0, epsilon=1.3, eta=0.7)
+    assert build_hamiltonian(params).dtype == np.float64
+    assert star_spectrum(params).eigenvectors.dtype == np.float64
+    assert reduced_thermal_state(params, 0.1).dtype == np.float64
 
 
 def test_partial_trace_bell_marginal():
