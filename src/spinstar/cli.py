@@ -16,7 +16,8 @@ import numpy as np
 from .entanglement import NumericalInvariantError
 from .operators import SpinStarParams
 from .spectra import analytic_ground_state_m3, analytic_spectrum_m3, ground_manifold
-from .sweep import SweepGrid, evaluate_point, format_float, open_output, run_sweep, write_records
+from .sweep import (SweepGrid, evaluate_point, format_float, open_output, run_sweep,
+                    write_records, write_rows)
 from .thermal import star_spectrum
 
 
@@ -44,11 +45,18 @@ def _params_from(args: argparse.Namespace) -> SpinStarParams:
     return SpinStarParams(m=args.m, omega=args.omega, epsilon=args.epsilon, eta=args.eta)
 
 
+def _spectrum_rows(spec, analytic):
+    for i, (value, label) in enumerate(zip(spec.eigenvalues, spec.sector_labels)):
+        row = {"index": i, "eigenvalue": value, "sector": int(label)}
+        if analytic is not None:
+            row.update(analytic=analytic[i], abs_dev=abs(value - analytic[i]))
+        yield row
+
+
 def cmd_spectrum(args: argparse.Namespace) -> int:
     params = _params_from(args)
     spec = star_spectrum(params)
-    analytic = None
-    max_deviation = None
+    analytic = max_deviation = None
     if params.m == 3:
         analytic = analytic_spectrum_m3(params.omega, params.epsilon, params.eta)
         max_deviation = float(np.max(np.abs(spec.eigenvalues - analytic)))
@@ -67,25 +75,16 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             }
             stream.write(json.dumps(payload) + "\n")
         else:
-            header = "index,eigenvalue,sector"
-            if analytic is not None:
-                header += ",analytic,abs_dev"
-            stream.write(header + "\n")
-            for i, (value, label) in enumerate(zip(spec.eigenvalues, spec.sector_labels)):
-                row = f"{i},{format_float(value)},{int(label)}"
-                if analytic is not None:
-                    row += f",{format_float(analytic[i])},{format_float(abs(value - analytic[i]))}"
-                stream.write(row + "\n")
+            write_rows(_spectrum_rows(spec, analytic), stream)
     if max_deviation is not None and args.format == "csv":
         print(f"max_abs_deviation={format_float(max_deviation)}", file=sys.stderr)
     return 0
 
 
 def cmd_negativity(args: argparse.Namespace) -> int:
-    params = _params_from(args)
-    record = evaluate_point(params, args.t)
+    record = evaluate_point(_params_from(args), args.t)
     with open_output(args.output) as stream:
-        write_records([record], params.m, stream, args.format)
+        write_records([record], stream, args.format)
     return 0
 
 
@@ -98,30 +97,15 @@ def cmd_ground(args: argparse.Namespace) -> int:
         try:
             reference = analytic_ground_state_m3(params.epsilon, params.eta)
         except ValueError:
-            reference = None
-        if reference is not None:
-            overlap = reference.conj() @ manifold.basis[:, 0]
-            fidelity = float(abs(overlap) ** 2)
-
-    with open_output(args.output) as stream:
-        if args.format == "json":
-            payload = {
-                "m": params.m,
-                "omega": params.omega,
-                "epsilon": params.epsilon,
-                "eta": params.eta,
-                "ground_energy": manifold.energy,
-                "ground_degeneracy": manifold.degeneracy,
-                "analytic_ground_fidelity": fidelity,
-            }
-            stream.write(json.dumps(payload) + "\n")
+            pass
         else:
-            stream.write("m,omega,epsilon,eta,ground_energy,ground_degeneracy,"
-                         "analytic_ground_fidelity\n")
-            fid_field = "" if fidelity is None else format_float(fidelity)
-            stream.write(f"{params.m},{format_float(params.omega)},{format_float(params.epsilon)},"
-                         f"{format_float(params.eta)},{format_float(manifold.energy)},"
-                         f"{manifold.degeneracy},{fid_field}\n")
+            fidelity = float(abs(reference @ manifold.basis[:, 0]) ** 2)
+
+    row = {"m": params.m, "omega": params.omega, "epsilon": params.epsilon, "eta": params.eta,
+           "ground_energy": manifold.energy, "ground_degeneracy": manifold.degeneracy,
+           "analytic_ground_fidelity": fidelity}
+    with open_output(args.output) as stream:
+        write_rows([row], stream, args.format)
     return 0
 
 

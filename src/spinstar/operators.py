@@ -32,6 +32,11 @@ _SINGLE_SITE = {
 # quadruples the dense 2^(m+1)-dimensional real matrices.
 MAX_M = 11
 
+# SpinStarParams rejects a norm bound (m+1)*omega/2 + m*(|epsilon|+|eta|) of H
+# above this: the m=3 closed forms square energies and the Gibbs weights take
+# their differences, so every step stays far from the float64 range.
+MAX_ENERGY = 1e150
+
 
 @dataclass(frozen=True)
 class SpinStarParams:
@@ -58,6 +63,11 @@ class SpinStarParams:
             raise ValueError(f"epsilon must be finite, got {self.epsilon}")
         if not math.isfinite(self.eta):
             raise ValueError(f"eta must be finite, got {self.eta}")
+        bound = (self.m + 1) * self.omega / 2 + self.m * (abs(self.epsilon) + abs(self.eta))
+        if not bound <= MAX_ENERGY:
+            raise ValueError(f"energy bound (m+1)*omega/2 + m*(|epsilon|+|eta|) = {bound} exceeds "
+                             f"MAX_ENERGY={MAX_ENERGY:g} (omega={self.omega}, "
+                             f"epsilon={self.epsilon}, eta={self.eta})")
 
     @property
     def n_qubits(self) -> int:

@@ -33,7 +33,6 @@ class GroundManifold:
     energy: float
     degeneracy: int
     basis: np.ndarray
-    tolerance: float
 
 
 def degeneracy_tolerance(energy: float) -> float:
@@ -139,28 +138,22 @@ def analytic_ground_state_m3(epsilon: float, eta: float) -> np.ndarray:
     return vec / norm
 
 
-def level_energies(eigenvalues: np.ndarray, tol: float | None = None) -> np.ndarray:
+def level_energies(eigenvalues: np.ndarray) -> np.ndarray:
     """Each ascending eigenvalue replaced by the lowest eigenvalue of its level.
 
     A level is a run of eigenvalues whose neighbouring gaps are all at most
-    tol, by default degeneracy_tolerance of the lowest eigenvalue, so
-    floating-point splittings inside a degenerate level never separate it.
+    degeneracy_tolerance of the lowest eigenvalue, so floating-point
+    splittings inside a degenerate level never separate it.
     """
-    if tol is None:
-        tol = degeneracy_tolerance(float(eigenvalues[0]))
-    opens = np.concatenate(([True], np.diff(eigenvalues) > tol))
+    opens = np.concatenate(([True], np.diff(eigenvalues) > degeneracy_tolerance(eigenvalues[0])))
     return eigenvalues[opens][np.cumsum(opens) - 1]
 
 
-def ground_manifold(spec: SpectralDecomposition, tol: float | None = None) -> GroundManifold:
+def ground_manifold(spec: SpectralDecomposition) -> GroundManifold:
     """Eigenpairs of the lowest level (see level_energies), as an orthonormal basis."""
     if spec.dim == 0:
         raise ValueError("empty spectral decomposition")
     energy = float(spec.eigenvalues[0])
-    if tol is None:
-        tol = degeneracy_tolerance(energy)
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    count = int(np.count_nonzero(level_energies(spec.eigenvalues, tol) == energy))
+    count = int(np.count_nonzero(level_energies(spec.eigenvalues) == energy))
     return GroundManifold(energy=energy, degeneracy=count,
-                          basis=spec.eigenvectors[:, :count].copy(), tolerance=float(tol))
+                          basis=spec.eigenvectors[:, :count].copy())

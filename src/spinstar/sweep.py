@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import multipartite_negativity
-from .operators import MAX_M, SpinStarParams
+from .operators import SpinStarParams
 from .spectra import ground_manifold
 from .thermal import check_temperature, reduced_state, star_spectrum
 
@@ -33,10 +33,6 @@ class SweepGrid:
     output_path: str = "-"
 
     def __post_init__(self):
-        if not 2 <= self.m <= MAX_M:
-            raise ValueError(f"sweep supports 2 <= m <= {MAX_M}, got m={self.m}")
-        if not self.omega > 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
         for name, axis in (("epsilon", self.epsilon_axis), ("eta", self.eta_axis)):
             lo, hi, count = axis
             if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -45,6 +41,9 @@ class SweepGrid:
                 raise ValueError(f"{name} axis needs count >= 1, got {count}")
             if lo > hi:
                 raise ValueError(f"{name} axis has min {lo} > max {hi}")
+        # the largest |coupling| of each axis: no cell can then fail the parameter checks
+        SpinStarParams(self.m, self.omega, max(map(abs, self.epsilon_axis[:2])),
+                       max(map(abs, self.eta_axis[:2])))
         if not self.temperatures:
             raise ValueError("at least one temperature is required")
         for t in self.temperatures:
@@ -63,6 +62,15 @@ class SweepRecord:
     ground_energy: float
     ground_degeneracy: int
     degenerate_cell: bool
+
+    def row(self) -> dict:
+        """Output fields in column order, one neg_cut_k per peripheral spin."""
+        row = {"epsilon": self.epsilon, "eta": self.eta, "t": self.t, "neg_multi": self.neg_multi}
+        for k, value in enumerate(self.per_cut, start=1):
+            row[f"neg_cut_{k}"] = value
+        row.update(ground_energy=self.ground_energy, ground_degeneracy=self.ground_degeneracy,
+                   degenerate_cell=self.degenerate_cell)
+        return row
 
 
 def axis_values(axis: tuple[float, float, int]) -> np.ndarray:
@@ -113,50 +121,31 @@ def format_float(value: float) -> str:
     return f"{float(value) + 0.0:.12g}"
 
 
-def csv_header(m: int) -> str:
-    cut_names = ",".join(f"neg_cut_{k}" for k in range(1, m + 1))
-    return f"epsilon,eta,t,neg_multi,{cut_names},ground_energy,ground_degeneracy,degenerate_cell"
+def format_field(value) -> str:
+    """One CSV field: None is empty, a bool is true/false, a number goes through format_float."""
+    if value is None:
+        return ""
+    if value is True or value is False:
+        return "true" if value else "false"
+    return format_float(value)
 
 
-def record_to_csv(record: SweepRecord) -> str:
-    fields = [
-        format_float(record.epsilon),
-        format_float(record.eta),
-        format_float(record.t),
-        format_float(record.neg_multi),
-        *(format_float(value) for value in record.per_cut),
-        format_float(record.ground_energy),
-        str(record.ground_degeneracy),
-        "true" if record.degenerate_cell else "false",
-    ]
-    return ",".join(fields)
-
-
-def record_to_json(record: SweepRecord) -> str:
-    obj = {
-        "epsilon": record.epsilon,
-        "eta": record.eta,
-        "t": record.t,
-        "neg_multi": record.neg_multi,
-    }
-    for k, value in enumerate(record.per_cut, start=1):
-        obj[f"neg_cut_{k}"] = value
-    obj["ground_energy"] = record.ground_energy
-    obj["ground_degeneracy"] = record.ground_degeneracy
-    obj["degenerate_cell"] = record.degenerate_cell
-    return json.dumps(obj)
-
-
-def write_records(records, m: int, stream, fmt: str = "csv") -> None:
-    if fmt == "csv":
-        stream.write(csv_header(m) + "\n")
-        for record in records:
-            stream.write(record_to_csv(record) + "\n")
-    elif fmt == "json":
-        for record in records:
-            stream.write(record_to_json(record) + "\n")
+def write_rows(rows, stream, fmt: str = "csv") -> None:
+    """Write dicts as CSV, headed by the first row's keys, or as JSON lines."""
+    if fmt == "json":
+        for row in rows:
+            stream.write(json.dumps(row) + "\n")
+    elif fmt == "csv":
+        for i, row in enumerate(rows):
+            if i == 0:
+                stream.write(",".join(row) + "\n")
+            stream.write(",".join(map(format_field, row.values())) + "\n")
     else:
         raise ValueError(f"unknown output format {fmt!r}")
+
+
+def write_records(records, stream, fmt: str = "csv") -> None:
+    write_rows((record.row() for record in records), stream, fmt)
 
 
 @contextlib.contextmanager
@@ -173,5 +162,5 @@ def run_sweep(grid: SweepGrid, fmt: str = "csv") -> list[SweepRecord]:
     """Evaluate the grid and write it to grid.output_path ('-' for stdout)."""
     records = sweep_records(grid)
     with open_output(grid.output_path) as stream:
-        write_records(records, grid.m, stream, fmt)
+        write_records(records, stream, fmt)
     return records

@@ -13,8 +13,7 @@ import math
 import numpy as np
 
 from .operators import SpinStarParams, build_hamiltonian, sector_map
-from .spectra import (SpectralDecomposition, eigh, ground_manifold, level_energies,
-                      spectrum_blocked)
+from .spectra import SpectralDecomposition, eigh, level_energies, spectrum_blocked
 
 # Boltzmann weights below this, relative to the ground level's 1, are dropped.
 WEIGHT_FLOOR = 1e-300
@@ -37,18 +36,19 @@ def gibbs_state_from_spectrum(spec: SpectralDecomposition, t: float,
 
     Each level (see level_energies) gets one weight, taken relative to the
     ground level, which keeps degenerate levels symmetric; t*energy_scale = 0,
-    also by underflow, gives the ground-manifold mixture.
+    also by underflow, keeps the ground level alone (the ground-manifold mixture).
     """
     check_temperature(t)
     if not energy_scale > 0:
         raise ValueError(f"energy scale must be positive, got {energy_scale}")
     kt = t * energy_scale
-    if kt == 0:
-        return zero_temperature_state(spec)
     gaps = level_energies(spec.eigenvalues) - spec.eigenvalues[0]
-    # a gap/kt past the float range is weight 0, not a warning
-    with np.errstate(over="ignore"):
-        weights = np.exp(-gaps / kt)
+    if kt == 0:
+        weights = (gaps == 0).astype(float)
+    else:
+        # a gap/kt past the float range is weight 0, not a warning
+        with np.errstate(over="ignore"):
+            weights = np.exp(-gaps / kt)
     keep = weights >= WEIGHT_FLOOR
     vectors = spec.eigenvectors[:, keep]
     weights = weights[keep] / weights[keep].sum()
@@ -66,9 +66,7 @@ def gibbs_state(h: np.ndarray, t: float) -> np.ndarray:
 
 def zero_temperature_state(spec: SpectralDecomposition) -> np.ndarray:
     """Uniform mixture over the ground manifold, the t -> 0+ Gibbs limit."""
-    manifold = ground_manifold(spec)
-    basis = manifold.basis
-    return _as_state((basis @ basis.conj().T) / manifold.degeneracy)
+    return gibbs_state_from_spectrum(spec, 0.0)
 
 
 def partial_trace(rho: np.ndarray, keep, n_qubits: int) -> np.ndarray:

@@ -223,6 +223,18 @@ SWEEP = ("sweep", "--m", "3", "--epsilon-range", "0:1:2", "--eta-range", "0:1:2"
     pytest.param(("ground", "--m", "40"), "got m=40", id="ground-m40"),
     pytest.param(("sweep", "--m", "12", "--epsilon-range", "0:1:2", "--eta-range", "0:1:2",
                   "--temps", "0.1"), "got m=12", id="sweep-m12"),
+    # couplings past the energy bound, which the m=3 closed forms would square
+    pytest.param(("spectrum", "--m", "3", "--epsilon", "1e155", "--eta", "1"),
+                 "epsilon=1e+155", id="spectrum-epsilon-1e155"),
+    pytest.param(("ground", "--m", "3", "--epsilon", "1e155", "--eta", "0"),
+                 "epsilon=1e+155", id="ground-epsilon-1e155"),
+    pytest.param(("negativity", "--m", "4", "--epsilon", "1e308", "--eta", "1e308", "--t", "0"),
+                 "epsilon=1e+308, eta=1e+308", id="negativity-t0-couplings-1e308"),
+    pytest.param(("sweep", "--m", "4", "--epsilon-range", "1e308:1e308:1",
+                  "--eta-range", "1e308:1e308:1", "--temps", "0"),
+                 "epsilon=1e+308, eta=1e+308", id="sweep-couplings-1e308"),
+    pytest.param(("negativity", "--m", "3", "--epsilon", "1e308", "--eta", "1e308", "--t", "1"),
+                 "epsilon=1e+308, eta=1e+308", id="negativity-t1-couplings-1e308"),
 ])
 def test_out_of_range_inputs_exit_2_up_front(capsys, argv, named):
     with warnings.catch_warnings():
@@ -250,3 +262,64 @@ def test_numerical_invariant_maps_to_exit_3(monkeypatch, capsys):
                            "--eta", "1", "--t", "0.1")
     assert code == 3
     assert "invariant" in err
+
+
+# Golden output: the exact bytes every command writes, one writer for all of them.
+
+GOLDEN_CSV = [
+    # nondegenerate m=3 ground state: the closed-form fidelity is filled in
+    pytest.param(("ground", "--m", "3", "--epsilon", "1", "--eta", "0.5"),
+                 "m,omega,epsilon,eta,ground_energy,ground_degeneracy,analytic_ground_fidelity\n"
+                 "3,1,1,0.5,-2.30277563773,1,1\n", id="ground-m3"),
+    # no closed form at m=4: the fidelity field is empty
+    pytest.param(("ground", "--m", "4", "--epsilon", "1", "--eta", "2"),
+                 "m,omega,epsilon,eta,ground_energy,ground_degeneracy,analytic_ground_fidelity\n"
+                 "4,1,1,2,-6.17558231893,1,\n", id="ground-m4"),
+    pytest.param(("spectrum", "--m", "2", "--epsilon", "1", "--eta", "0.5"),
+                 "index,eigenvalue,sector\n0,-1.5,1\n1,-1.5,0\n2,-1.5,1\n3,-0.5,2\n"
+                 "4,-0.5,2\n5,1.5,3\n6,1.5,1\n7,2.5,2\n", id="spectrum-m2"),
+    pytest.param(("negativity", "--m", "3", "--epsilon", "1", "--eta", "0.5", "--t", "0.1"),
+                 "epsilon,eta,t,neg_multi,neg_cut_1,neg_cut_2,neg_cut_3,ground_energy,"
+                 "ground_degeneracy,degenerate_cell\n"
+                 "1,0.5,0.1,0.0757379250809,0.0757379250809,0.0757379250809,0.0757379250809,"
+                 "-2.30277563773,1,false\n", id="negativity-m3"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", GOLDEN_CSV)
+def test_golden_csv_bytes(capsys, argv, expected):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == expected
+
+
+def test_golden_spectrum_m3_header(capsys):
+    code, out, err = run_cli(capsys, "spectrum", "--m", "3", "--epsilon", "1", "--eta", "0.5")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "index,eigenvalue,sector,analytic,abs_dev"
+    assert lines[1] == "0,-2.30277563773,1,-2.30277563773,0"
+    assert len(lines) == 17
+    assert err.startswith("max_abs_deviation=")
+
+
+@pytest.mark.parametrize("argv, types", [
+    (("ground", "--m", "3", "--epsilon", "1", "--eta", "0.5"),
+     {"m": int, "omega": float, "epsilon": float, "eta": float, "ground_energy": float,
+      "ground_degeneracy": int, "analytic_ground_fidelity": float}),
+    (("ground", "--m", "4", "--epsilon", "1", "--eta", "2"),
+     {"m": int, "omega": float, "epsilon": float, "eta": float, "ground_energy": float,
+      "ground_degeneracy": int, "analytic_ground_fidelity": type(None)}),
+    (("negativity", "--m", "3", "--epsilon", "1", "--eta", "0.5", "--t", "0.1"),
+     {"epsilon": float, "eta": float, "t": float, "neg_multi": float, "neg_cut_1": float,
+      "neg_cut_2": float, "neg_cut_3": float, "ground_energy": float,
+      "ground_degeneracy": int, "degenerate_cell": bool}),
+])
+def test_golden_json_keys_and_types(capsys, argv, types):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1 and out.endswith("\n")
+    payload = json.loads(lines[0])
+    assert list(payload) == list(types)
+    assert {key: type(value) for key, value in payload.items()} == types

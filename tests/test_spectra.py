@@ -174,7 +174,7 @@ def test_analytic_ground_state_undefined_when_empty():
 
 def test_ground_manifold_nondegenerate_overlap():
     spec = spectrum_blocked(star(3, 1.0, 1.0, 0.5), sector_map(4))
-    manifold = ground_manifold(spec, 1e-9)
+    manifold = ground_manifold(spec)
     assert manifold.degeneracy == 1
     ref = analytic_ground_state_m3(1.0, 0.5)
     assert abs(ref.conj() @ manifold.basis[:, 0]) ** 2 >= 1.0 - 1e-10
@@ -182,26 +182,18 @@ def test_ground_manifold_nondegenerate_overlap():
 
 def test_ground_manifold_six_fold_at_crossing():
     spec = spectrum_blocked(star(3, 1.0, 1.0, 1.0), sector_map(4))
-    manifold = ground_manifold(spec, 1e-9)
+    manifold = ground_manifold(spec)
     assert manifold.degeneracy == 6
     assert abs(manifold.energy + 2.0) < 1e-12
 
 
 def test_ground_manifold_four_fold_beyond_crossing():
     spec = spectrum_blocked(star(3, 1.0, 1.0, 2.0), sector_map(4))
-    manifold = ground_manifold(spec, 1e-9)
+    manifold = ground_manifold(spec)
     assert manifold.degeneracy == 4
     assert abs(manifold.energy + 3.0) < 1e-12
     gram = manifold.basis.conj().T @ manifold.basis
     assert np.max(np.abs(gram - np.eye(4))) < 1e-10
-
-
-def test_ground_manifold_input_errors():
-    spec = eigh(np.diag([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        ground_manifold(spec, 0.0)
-    with pytest.raises(ValueError):
-        ground_manifold(spec, -1e-9)
 
 
 def test_spectrum_invariant_under_global_unitary_sanity():

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,16 @@ from spinstar import (
     sweep_records,
 )
 from spinstar.operators import MAX_M
-from spinstar.sweep import csv_header, record_to_csv, write_records
+from spinstar.sweep import write_records
+
+HEADER_M3 = ("epsilon,eta,t,neg_multi,neg_cut_1,neg_cut_2,neg_cut_3,"
+             "ground_energy,ground_degeneracy,degenerate_cell")
+
+
+def csv_lines(records):
+    stream = io.StringIO()
+    write_records(records, stream)
+    return stream.getvalue().splitlines()
 
 
 def small_grid(**overrides):
@@ -37,6 +47,11 @@ def test_grid_validation():
         small_grid(temperatures=(0.5, -1.0))
     with pytest.raises(ValueError):
         small_grid(omega=0.0)
+    with pytest.raises(ValueError, match="omega"):
+        small_grid(omega=math.inf)
+    # refused before any cell runs: the axis reaches past the energy bound
+    with pytest.raises(ValueError, match="energy bound"):
+        small_grid(epsilon_axis=(-1e150, 0.0, 3))
 
 
 def test_single_cell_grid(tmp_path):
@@ -46,7 +61,7 @@ def test_single_cell_grid(tmp_path):
     run_sweep(grid)
     lines = path.read_text().splitlines()
     assert len(lines) == 2
-    assert lines[0] == csv_header(3)
+    assert lines[0] == HEADER_M3
 
 
 def test_row_order_is_lexicographic_in_t_eta_epsilon():
@@ -61,7 +76,7 @@ def test_sweep_matches_single_point_evaluation():
     records = sweep_records(grid)
     probe = next(r for r in records if r.epsilon == 1.0 and r.eta == 1.0)
     single = evaluate_point(SpinStarParams(m=3, omega=1.0, epsilon=1.0, eta=1.0), 0.01)
-    assert record_to_csv(probe) == record_to_csv(single)
+    assert csv_lines([probe]) == csv_lines([single])
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):
@@ -76,9 +91,12 @@ def test_repeated_runs_are_byte_identical(tmp_path):
 
 
 def test_csv_schema_matches_m():
-    assert csv_header(3) == ("epsilon,eta,t,neg_multi,neg_cut_1,neg_cut_2,neg_cut_3,"
-                             "ground_energy,ground_degeneracy,degenerate_cell")
-    assert "neg_cut_5" in csv_header(5)
+    def header(m):
+        return csv_lines([evaluate_point(SpinStarParams(m=m, omega=1.0, epsilon=1.0, eta=0.5),
+                                         0.1)])[0]
+
+    assert header(3) == HEADER_M3
+    assert "neg_cut_5" in header(5)
 
 
 def test_degenerate_cells_are_flagged():
@@ -105,7 +123,7 @@ def test_json_records_roundtrip():
     grid = small_grid(temperatures=(0.2,))
     records = sweep_records(grid)
     stream = io.StringIO()
-    write_records(records, grid.m, stream, fmt="json")
+    write_records(records, stream, fmt="json")
     lines = stream.getvalue().splitlines()
     assert len(lines) == len(records)
     obj = json.loads(lines[0])
@@ -116,7 +134,7 @@ def test_json_records_roundtrip():
 
 def test_write_records_rejects_unknown_format():
     with pytest.raises(ValueError):
-        write_records([], 3, io.StringIO(), fmt="yaml")
+        write_records([], io.StringIO(), fmt="yaml")
 
 
 def test_float_formatting_is_stable():
