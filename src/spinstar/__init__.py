@@ -1,8 +1,8 @@
 """spinstar: thermal entanglement of the peripheral spins of a spin-star network.
 
 A central qubit exchange-couples to m peripheral qubits, which also
-exchange-couple around an outer ring.  The package builds the dense
-Hamiltonian, diagonalizes it per excitation-number sector, forms Gibbs
+exchange-couple around an outer ring.  The package builds and
+diagonalizes the Hamiltonian per excitation-number sector, forms Gibbs
 states, traces out the central spin, and quantifies multipartite
 entanglement of the periphery through the geometric mean of all
 one-spin-versus-rest negativities.
@@ -21,7 +21,6 @@ from .operators import (
     build_hamiltonian,
     hamiltonian_terms,
     pauli_operator,
-    restrict_to_sector,
     sector_map,
 )
 from .spectra import (
@@ -78,7 +77,6 @@ __all__ = [
     "partial_transpose",
     "pauli_operator",
     "reduced_thermal_state",
-    "restrict_to_sector",
     "run_sweep",
     "sector_map",
     "spectrum_blocked",

@@ -170,9 +170,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """'--flag -<number>' as '--flag=-<number>': argparse takes '-1e-3' for an option."""
+    out = []
+    for arg in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and len(arg) > 1 and arg[0] == "-" and (arg[1].isdigit() or arg[1] == ".")):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except NumericalInvariantError as exc:

@@ -4,6 +4,7 @@ defined as the geometric mean over all one-spin-versus-rest cuts."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,6 +37,15 @@ def _infer_n_qubits(rho: np.ndarray) -> int:
     return n
 
 
+def _part(part_a, n_qubits: int) -> tuple[int, ...]:
+    part = tuple(sorted(set(int(q) for q in part_a)))
+    if not part:
+        raise ValueError("part_a must name at least one qubit")
+    if part[0] < 0 or part[-1] >= n_qubits:
+        raise ValueError(f"part_a indices {list(part)} out of range for {n_qubits} qubits")
+    return part
+
+
 def partial_transpose(rho: np.ndarray, part_a, n_qubits: int) -> np.ndarray:
     """Transpose of the part_a tensor factors of rho.
 
@@ -46,11 +56,7 @@ def partial_transpose(rho: np.ndarray, part_a, n_qubits: int) -> np.ndarray:
     dim = 2 ** n_qubits
     if rho.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix, got {rho.shape}")
-    part = sorted(set(int(q) for q in part_a))
-    if not part:
-        raise ValueError("part_a must name at least one qubit")
-    if part[0] < 0 or part[-1] >= n_qubits:
-        raise ValueError(f"part_a indices {part} out of range for {n_qubits} qubits")
+    part = _part(part_a, n_qubits)
     tensor = rho.reshape((2,) * (2 * n_qubits))
     perm = list(range(2 * n_qubits))
     for q in part:
@@ -58,20 +64,48 @@ def partial_transpose(rho: np.ndarray, part_a, n_qubits: int) -> np.ndarray:
     return tensor.transpose(perm).reshape(dim, dim)
 
 
+@lru_cache(maxsize=64)
+def _charge_blocks(n_qubits: int, part: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Flat indices into rho of the blocks of its partial transpose over part, by size.
+
+    Where rho conserves the excitation number, its partial transpose
+    conserves the charge q = popcount(rest bits) - popcount(part bits).
+    """
+    dim = 2 ** n_qubits
+    mask = sum(1 << (n_qubits - 1 - q) for q in part)
+    charge = np.array([(i & ~mask).bit_count() - (i & mask).bit_count() for i in range(dim)])
+    by_size = {}
+    for q in range(-len(part), n_qubits - len(part) + 1):
+        rows = np.flatnonzero(charge == q)
+        by_size.setdefault(rows.size, []).append(rows)
+    groups = []
+    for rows in by_size.values():
+        r, c = np.stack(rows)[:, :, None], np.stack(rows)[:, None, :]
+        # <ab| rho^T_A |a'b'> = <a'b| rho |ab'>: swap the part bits of row and column
+        flat = ((r & ~mask) | (c & mask)) * dim + ((c & ~mask) | (r & mask))
+        flat.setflags(write=False)
+        groups.append(flat)
+    return tuple(groups)
+
+
 def negativity(rho: np.ndarray, part_a) -> float:
     """Sum of |eigenvalues| of the partial transpose, minus one.
 
     Zero for states that stay positive under partial transposition.  Noise
     around zero is snapped to exactly 0; a value below -1e-9 signals an
-    invalid input state and raises NumericalInvariantError.
+    invalid input state and raises NumericalInvariantError.  Each charge
+    block (see _charge_blocks) is diagonalized alone when an exact count
+    puts every nonzero entry of rho on them; else the whole transpose is one.
     """
     rho = np.asarray(rho)
     n_qubits = _infer_n_qubits(rho)
-    part = sorted(set(int(q) for q in part_a))
-    if len(part) >= n_qubits:
+    part = _part(part_a, n_qubits)
+    if len(part) == n_qubits:
         raise ValueError("part_a must be a proper subset of the qubits")
-    transposed = partial_transpose(rho, part, n_qubits)
-    raw = float(np.sum(np.abs(np.linalg.eigvalsh(transposed))) - 1.0)
+    blocks = [rho.take(flat) for flat in _charge_blocks(n_qubits, part)]
+    if sum(np.count_nonzero(block) for block in blocks) != np.count_nonzero(rho):
+        blocks = [partial_transpose(rho, part, n_qubits)]
+    raw = sum(float(np.sum(np.abs(np.linalg.eigvalsh(block)))) for block in blocks) - 1.0
     if raw < NEGATIVITY_FLOOR:
         raise NumericalInvariantError(
             f"negativity {raw:.3e} below the {NEGATIVITY_FLOOR} floor; input is not a valid state")

@@ -113,11 +113,10 @@ def pauli_operator(site: int, kind: str, n_qubits: int) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def hamiltonian_terms(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coefficient matrices (T_omega, T_epsilon, T_eta) for m peripheral spins.
+    """Dense coefficient matrices (T_omega, T_epsilon, T_eta) for m peripheral spins.
 
-    The full Hamiltonian is omega*T_omega + epsilon*T_epsilon + eta*T_eta,
-    so parameter sweeps can reuse these instead of rebuilding Kronecker
-    chains per grid cell.  Cached arrays are read-only.
+    build_hamiltonian is omega*T_omega + epsilon*T_epsilon + eta*T_eta;
+    cached arrays are read-only.
     """
     if m < 2:
         raise ValueError(f"need at least 2 peripheral spins, got m={m}")
@@ -143,7 +142,8 @@ def build_hamiltonian(params: SpinStarParams) -> np.ndarray:
     coupling epsilon between each peripheral spin and the central one, and
     the exchange coupling eta between neighboring peripheral spins on the
     ring.  The result is real symmetric float64, traceless, and commutes
-    with the total excitation number.
+    with the total excitation number.  This is the dense reference route;
+    the pipeline builds H per sector through sector_hamiltonians.
     """
     t_omega, t_epsilon, t_eta = hamiltonian_terms(params.m)
     return params.omega * t_omega + params.epsilon * t_epsilon + params.eta * t_eta
@@ -163,14 +163,46 @@ def sector_map(n_qubits: int) -> SectorMap:
     return SectorMap(n_qubits=n_qubits, sectors=tuple(sectors))
 
 
-def restrict_to_sector(op: np.ndarray, sector) -> np.ndarray:
-    """Submatrix of op on the given basis indices, preserving index order."""
-    op = np.asarray(op)
-    idx = np.asarray(sector, dtype=int)
-    if idx.ndim != 1 or idx.size == 0:
-        raise ValueError("sector must be a nonempty index list")
-    if np.unique(idx).size != idx.size:
-        raise ValueError("duplicate indices in sector")
-    if idx.min() < 0 or idx.max() >= op.shape[0]:
-        raise ValueError("sector index out of range")
-    return op[np.ix_(idx, idx)]
+
+
+@lru_cache(maxsize=16)
+def sector_terms(m: int) -> tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]:
+    """(k, states, flat, E_k, R_k) per excitation sector k of an m-spin star; cached, read-only.
+
+    flat holds the row-major positions in sector k's block (states in
+    sector_map order) that a bit-flip hop reaches, and E_k, R_k the epsilon
+    and eta coefficients there; the m=2 ring counts its one bond both ways.
+    """
+    n = m + 1
+    bonds = ([(0, q) for q in range(1, m + 1)], [(q, q % m + 1) for q in range(1, m + 1)])
+    out = []
+    for k, states in sector_map(n).sectors:
+        counts = np.zeros((2, states.size ** 2))
+        for term, pairs in enumerate(bonds):
+            for a, b in pairs:
+                bit_a, bit_b = 1 << (n - 1 - a), 1 << (n - 1 - b)
+                source = np.flatnonzero(((states & bit_a) == 0) != ((states & bit_b) == 0))
+                target = states[source] ^ (bit_a | bit_b)
+                row = np.searchsorted(states, target)
+                if not np.array_equal(states.take(row, mode="clip"), target):
+                    raise AssertionError(f"a hop leaves excitation sector {k}")
+                counts[term, row * states.size + source] += 1.0
+        flat = np.flatnonzero(counts.any(axis=0))
+        central, ring = counts[:, flat]
+        for array in (flat, central, ring):
+            array.setflags(write=False)
+        out.append((k, states, flat, central, ring))
+    return tuple(out)
+
+
+def sector_hamiltonians(params: SpinStarParams):
+    """Yield (k, states, block) for k = 0..m+1: omega*(k - (m+1)/2)*I + epsilon*E_k + eta*R_k.
+
+    Each block equals build_hamiltonian(params) restricted to sector k exactly.
+    """
+    half = params.n_qubits / 2
+    for k, states, flat, central, ring in sector_terms(params.m):
+        block = np.zeros((states.size, states.size))
+        block.flat[::states.size + 1] = params.omega * (k - half)
+        block.flat[flat] = params.epsilon * central + params.eta * ring
+        yield k, states, block

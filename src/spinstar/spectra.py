@@ -13,17 +13,50 @@ HERMITICITY_TOL = 1e-10
 BLOCK_TOL = 1e-10
 
 
-@dataclass
 class SpectralDecomposition:
-    """Eigenvalues in ascending order with matching orthonormal eigenvector columns."""
+    """Spectrum of a Hermitian operator, diagonalized per (label, states, matrix) block.
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    sector_labels: np.ndarray | None = None
+    Each matrix is checked Hermitian to 1e-10.  blocks holds (label, states,
+    eigenvectors over states, ranks of their eigenvalues in eigenvalues),
+    which ascend with exact ties broken by label, then block order.
+    sector_labels is None for an unblocked eigh; gaps[i] is the level energy
+    of eigenvalue i (see level_energies) minus the lowest.
+    """
+
+    def __init__(self, blocks, labelled: bool = True):
+        pairs = [(k, states, *np.linalg.eigh(_hermitian(op))) for k, states, op in blocks]
+        values = np.concatenate([w for _, _, w, _ in pairs])
+        if values.size == 0:
+            raise ValueError("empty spectral decomposition")
+        labels = np.concatenate([np.full(w.size, k) for k, _, w, _ in pairs])
+        order = np.lexsort((np.arange(values.size), labels, values))
+        ranks = np.empty_like(order)
+        ranks[order] = np.arange(order.size)
+        self.dim = int(values.size)
+        self.eigenvalues = values[order]
+        self.sector_labels = labels[order] if labelled else None
+        self.gaps = level_energies(self.eigenvalues) - self.eigenvalues[0]
+        ends = np.cumsum([w.size for _, _, w, _ in pairs])
+        self.blocks = [(k, states, v, ranks[end - w.size:end])
+                       for (k, states, w, v), end in zip(pairs, ends)]
+
+    def lowest(self, count: int):
+        """Yield (label, states, eigenvectors, ranks) per block, cut to the count lowest eigenvalues."""
+        for k, states, vectors, ranks in self.blocks:
+            kept = int(np.searchsorted(ranks, count))  # ranks ascend within a block
+            yield k, states, vectors[:, :kept], ranks[:kept]
+
+    def vectors(self, count: int) -> np.ndarray:
+        """The eigenvectors of the count lowest eigenvalues, as columns in the full space."""
+        out = np.zeros((self.dim, count), dtype=np.result_type(*(b[2] for b in self.blocks)))
+        for _, states, vectors, ranks in self.lowest(count):
+            out[np.ix_(states, ranks)] = vectors
+        return out
 
     @property
-    def dim(self) -> int:
-        return int(self.eigenvalues.size)
+    def eigenvectors(self) -> np.ndarray:
+        """Dense dim x dim eigenvector matrix, columns in eigenvalue order; built on each access."""
+        return self.vectors(self.dim)
 
 
 @dataclass
@@ -51,18 +84,15 @@ def _hermitian(op: np.ndarray) -> np.ndarray:
 
 def eigh(op: np.ndarray) -> SpectralDecomposition:
     """Full spectrum of a Hermitian matrix (checked to 1e-10), eigenvalues ascending."""
-    op = _hermitian(op)
-    eigenvalues, eigenvectors = np.linalg.eigh(op)
-    return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+    return SpectralDecomposition([(0, np.arange(np.shape(op)[0]), op)], labelled=False)
 
 
 def spectrum_blocked(op: np.ndarray, sectors: SectorMap) -> SpectralDecomposition:
-    """Spectrum assembled from independent per-sector diagonalizations.
+    """Spectrum of a dense operator from independent per-sector diagonalizations.
 
-    Requires op to be block diagonal under the sector partition (checked to
-    1e-10 in max-norm).  Eigenvectors are embedded back into the full space
-    and the result is sorted by eigenvalue, with exact ties broken by sector
-    label and then insertion order so output is reproducible.
+    The dense reference route for the sector-native star_spectrum: op must
+    be block diagonal under the sector partition (checked to 1e-10 in
+    max-norm), and each sector's submatrix is diagonalized.
     """
     dim = sectors.dim
     if np.shape(op) != (dim, dim):
@@ -76,23 +106,7 @@ def spectrum_blocked(op: np.ndarray, sectors: SectorMap) -> SpectralDecompositio
     leakage = np.max(np.abs(op[off_block])) if off_block.any() else 0.0
     if leakage > BLOCK_TOL:
         raise ValueError(f"matrix is not block diagonal under the sector map (leakage {leakage:.3e})")
-
-    eigenvalues = []
-    labels = []
-    columns = []
-    for k, idx in sectors.sectors:
-        w, v = np.linalg.eigh(op[np.ix_(idx, idx)])
-        embedded = np.zeros((dim, idx.size), dtype=v.dtype)
-        embedded[idx, :] = v
-        eigenvalues.append(w)
-        labels.append(np.full(idx.size, k, dtype=int))
-        columns.append(embedded)
-    lam = np.concatenate(eigenvalues)
-    lab = np.concatenate(labels)
-    vecs = np.hstack(columns)
-    order = np.lexsort((np.arange(lam.size), lab, lam))
-    return SpectralDecomposition(eigenvalues=lam[order], eigenvectors=vecs[:, order],
-                                 sector_labels=lab[order])
+    return SpectralDecomposition((k, idx, op[np.ix_(idx, idx)]) for k, idx in sectors.sectors)
 
 
 def analytic_spectrum_m3(omega: float, epsilon: float, eta: float) -> np.ndarray:
@@ -151,9 +165,6 @@ def level_energies(eigenvalues: np.ndarray) -> np.ndarray:
 
 def ground_manifold(spec: SpectralDecomposition) -> GroundManifold:
     """Eigenpairs of the lowest level (see level_energies), as an orthonormal basis."""
-    if spec.dim == 0:
-        raise ValueError("empty spectral decomposition")
-    energy = float(spec.eigenvalues[0])
-    count = int(np.count_nonzero(level_energies(spec.eigenvalues) == energy))
-    return GroundManifold(energy=energy, degeneracy=count,
-                          basis=spec.eigenvectors[:, :count].copy())
+    count = int(np.count_nonzero(spec.gaps == 0))
+    return GroundManifold(energy=float(spec.eigenvalues[0]), degeneracy=count,
+                          basis=spec.vectors(count))

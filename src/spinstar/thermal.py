@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from .operators import SpinStarParams, build_hamiltonian, sector_map
-from .spectra import SpectralDecomposition, eigh, level_energies, spectrum_blocked
+from .operators import SpinStarParams, sector_hamiltonians
+from .spectra import SpectralDecomposition, eigh
 
 # Boltzmann weights below this, relative to the ground level's 1, are dropped.
 WEIGHT_FLOOR = 1e-300
@@ -30,28 +30,34 @@ def _as_state(rho: np.ndarray) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+def _boltzmann(spec: SpectralDecomposition, kt: float) -> np.ndarray:
+    """Normalized Boltzmann weights of the lowest eigenvalues, down to WEIGHT_FLOOR.
+
+    Each level (see level_energies) gets one weight, relative to the ground
+    level, so degenerate levels stay symmetric; kt = 0 keeps the ground level.
+    """
+    if kt == 0:
+        weights = (spec.gaps == 0).astype(float)
+    else:
+        # a gap/kt past the float range is weight 0, not a warning
+        with np.errstate(over="ignore"):
+            weights = np.exp(-spec.gaps / kt)
+    weights = weights[weights >= WEIGHT_FLOOR]
+    return weights / weights.sum()
+
+
 def gibbs_state_from_spectrum(spec: SpectralDecomposition, t: float,
                               energy_scale: float = 1.0) -> np.ndarray:
     """Gibbs state exp(-H/(t*energy_scale)) / Z from a precomputed spectrum.
 
-    Each level (see level_energies) gets one weight, taken relative to the
-    ground level, which keeps degenerate levels symmetric; t*energy_scale = 0,
-    also by underflow, keeps the ground level alone (the ground-manifold mixture).
+    The dense reference route for reduced_state.  t*energy_scale = 0, also
+    by underflow, keeps the ground level alone (the ground-manifold mixture).
     """
     check_temperature(t)
     if not energy_scale > 0:
         raise ValueError(f"energy scale must be positive, got {energy_scale}")
-    kt = t * energy_scale
-    gaps = level_energies(spec.eigenvalues) - spec.eigenvalues[0]
-    if kt == 0:
-        weights = (gaps == 0).astype(float)
-    else:
-        # a gap/kt past the float range is weight 0, not a warning
-        with np.errstate(over="ignore"):
-            weights = np.exp(-gaps / kt)
-    keep = weights >= WEIGHT_FLOOR
-    vectors = spec.eigenvectors[:, keep]
-    weights = weights[keep] / weights[keep].sum()
+    weights = _boltzmann(spec, t * energy_scale)
+    vectors = spec.vectors(weights.size)
     return _as_state((vectors * weights) @ vectors.conj().T)
 
 
@@ -65,12 +71,12 @@ def gibbs_state(h: np.ndarray, t: float) -> np.ndarray:
 
 
 def zero_temperature_state(spec: SpectralDecomposition) -> np.ndarray:
-    """Uniform mixture over the ground manifold, the t -> 0+ Gibbs limit."""
+    """Uniform mixture over the ground manifold, the t -> 0+ Gibbs limit (dense reference route)."""
     return gibbs_state_from_spectrum(spec, 0.0)
 
 
 def partial_trace(rho: np.ndarray, keep, n_qubits: int) -> np.ndarray:
-    """Reduced density matrix on the kept qubits.
+    """Reduced density matrix on the kept qubits; the dense reference route.
 
     Parameters
     ----------
@@ -88,30 +94,38 @@ def partial_trace(rho: np.ndarray, keep, n_qubits: int) -> np.ndarray:
         raise ValueError("keep must name at least one qubit")
     if kept[0] < 0 or kept[-1] >= n_qubits:
         raise ValueError(f"keep indices {kept} out of range for {n_qubits} qubits")
-    if len(kept) == n_qubits:
-        return rho.copy()
-
-    # 2*n_qubits tensor axes: row bits then column bits, most significant first
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    kept_set = set(kept)
-    row = [letters[q] for q in range(n_qubits)]
-    col = [letters[n_qubits + q] if q in kept_set else letters[q] for q in range(n_qubits)]
-    out = [row[q] for q in kept] + [col[q] for q in kept]
-    subs = "".join(row) + "".join(col) + "->" + "".join(out)
-    tensor = rho.reshape((2,) * (2 * n_qubits))
-    reduced_dim = 2 ** len(kept)
-    return np.einsum(subs, tensor).reshape(reduced_dim, reduced_dim)
+    # row bits then column bits, most significant first, kept qubits moved ahead
+    axes = kept + [q for q in range(n_qubits) if q not in kept]
+    tensor = rho.reshape((2,) * (2 * n_qubits)).transpose(axes + [n_qubits + q for q in axes])
+    size = 2 ** len(kept)
+    return np.trace(tensor.reshape(size, dim // size, size, dim // size), axis1=1, axis2=3)
 
 
 def star_spectrum(params: SpinStarParams) -> SpectralDecomposition:
-    """Sector-blocked spectrum of the spin-star Hamiltonian."""
-    return spectrum_blocked(build_hamiltonian(params), sector_map(params.n_qubits))
+    """Spectrum of the spin-star Hamiltonian, diagonalized sector by sector."""
+    return SpectralDecomposition(sector_hamiltonians(params))
 
 
 def reduced_state(spec: SpectralDecomposition, params: SpinStarParams, t: float) -> np.ndarray:
-    """Gibbs state of the star at t, from its spectrum, with the central spin traced out."""
-    full = gibbs_state_from_spectrum(spec, t, params.omega)
-    return partial_trace(full, range(1, params.m + 1), params.n_qubits)
+    """Gibbs state of the star at t, from star_spectrum(params), with the central spin traced out.
+
+    Sector k's Gibbs block is G_k = V_k diag(w) V_k^T over its kept columns.
+    Its first C(m, k) states have the centre at 0, so peripheral sector j
+    of the reduced state is G_j[:s_j, :s_j] + G_{j+1}[s_{j+1}:, s_{j+1}:]
+    with s_j = C(m, j); no 2^(m+1)-dimensional matrix is formed.
+    """
+    check_temperature(t)
+    m = params.m
+    if [block[0] for block in spec.blocks] != list(range(m + 2)):
+        raise ValueError(f"expected the excitation-sector spectrum of an m={m} star")
+    weights = _boltzmann(spec, t * params.omega)
+    grams = [(v * weights[ranks]) @ v.conj().T for _, _, v, ranks in spec.lowest(weights.size)]
+    rho = np.zeros((2 ** m, 2 ** m), dtype=grams[0].dtype)
+    for j in range(m + 1):
+        low, high = math.comb(m, j), math.comb(m, j + 1)
+        states = spec.blocks[j][1][:low]
+        rho[np.ix_(states, states)] = grams[j][:low, :low] + grams[j + 1][high:, high:]
+    return _as_state(rho)
 
 
 def reduced_thermal_state(params: SpinStarParams, t: float) -> np.ndarray:

@@ -146,3 +146,16 @@ def random_separable(rng, dims_a, dims_b, n_terms=4):
     for w in weights:
         rho += w * np.kron(random_density(rng, dims_a), random_density(rng, dims_b))
     return rho
+
+
+def restrict_to_sector(op, sector):
+    """Submatrix of op on the given basis indices, preserving index order."""
+    op = np.asarray(op)
+    idx = np.asarray(sector, dtype=int)
+    if idx.ndim != 1 or idx.size == 0:
+        raise ValueError("sector must be a nonempty index list")
+    if np.unique(idx).size != idx.size:
+        raise ValueError("duplicate indices in sector")
+    if idx.min() < 0 or idx.max() >= op.shape[0]:
+        raise ValueError("sector index out of range")
+    return op[np.ix_(idx, idx)]

@@ -204,6 +204,20 @@ def test_invalid_params_return_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("value, joined", [
+    (("ground", "--m", "3", "--epsilon", "1", "--eta", "-1e-3"),
+     ("ground", "--m", "3", "--epsilon", "1", "--eta=-1e-3")),
+    (("sweep", "--m", "3", "--epsilon-range", "-1e-3:1:3", "--eta-range", "0:1:2", "--temps", "0.1"),
+     ("sweep", "--m", "3", "--epsilon-range=-1e-3:1:3", "--eta-range", "0:1:2", "--temps", "0.1")),
+], ids=["ground-eta", "sweep-epsilon-range"])
+def test_negative_value_in_exponent_notation(capsys, value, joined):
+    # argparse alone takes "-1e-3" for an option and exits 2
+    code, out, err = run_cli(capsys, *value)
+    assert (code, err) == (0, "")
+    assert "-0.001," in out
+    assert run_cli(capsys, *joined) == (0, out, "")
+
+
 SWEEP = ("sweep", "--m", "3", "--epsilon-range", "0:1:2", "--eta-range", "0:1:2")
 
 

@@ -182,3 +182,29 @@ def test_w_state_negativity_against_bruteforce():
     rho = dm(w_state())
     ref = np.sum(np.abs(np.linalg.eigvalsh(brute_partial_transpose(rho, (1,), 3)))) - 1.0
     assert abs(negativity(rho, (1,)) - ref) < 1e-12
+
+
+def test_negativity_charge_block_check_is_exact(monkeypatch):
+    # the whole partial transpose is formed only when rho has an entry off
+    # the charge blocks, however small
+    from spinstar import entanglement
+
+    dense_routes = []
+    original = entanglement.partial_transpose
+    monkeypatch.setattr(entanglement, "partial_transpose",
+                        lambda *args: dense_routes.append(args) or original(*args))
+
+    def check(rho, n_qubits, dense):
+        dense_routes.clear()
+        for k in range(n_qubits):
+            ref = np.sum(np.abs(np.linalg.eigvalsh(brute_partial_transpose(rho, (k,), n_qubits))))
+            assert abs(negativity(rho, (k,)) - (ref - 1.0)) <= 1e-12
+        assert len(dense_routes) == (n_qubits if dense else 0)
+
+    star = reduced_thermal_state(SpinStarParams(m=4, omega=1.0, epsilon=1.3, eta=0.7), 0.1)
+    check(star, 4, dense=False)
+    check(dm(w_state()), 3, dense=False)
+    # a valid state with one coherence between 0 and 1 excitations
+    rho = 0.5 * dm(w_state()) + np.eye(8) / 16
+    rho[0b000, 0b001] = rho[0b001, 0b000] = 1e-300
+    check(rho, 3, dense=True)

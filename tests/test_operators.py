@@ -5,11 +5,10 @@ from spinstar import (
     SpinStarParams,
     build_hamiltonian,
     pauli_operator,
-    restrict_to_sector,
     sector_map,
 )
 
-from oracles import kron_chain, qubit_permutation_matrix
+from oracles import kron_chain, qubit_permutation_matrix, restrict_to_sector
 
 
 def test_pauli_z_single_qubit():

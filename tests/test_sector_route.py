@@ -1,0 +1,56 @@
+"""The sector-native evaluation path against the dense reference route.
+
+star_spectrum, reduced_state and negativity never form a 2^(m+1)-dimensional
+matrix; build_hamiltonian, spectrum_blocked, gibbs_state_from_spectrum and
+partial_trace do, and stay as the reference they are checked against here.
+"""
+
+import numpy as np
+import pytest
+
+from spinstar import (
+    SpinStarParams,
+    build_hamiltonian,
+    gibbs_state_from_spectrum,
+    ground_manifold,
+    negativity,
+    partial_trace,
+    sector_map,
+    spectrum_blocked,
+)
+from spinstar.operators import sector_hamiltonians
+from spinstar.thermal import reduced_state, star_spectrum
+
+from oracles import brute_partial_transpose, restrict_to_sector
+
+
+def points(m):
+    """Random (epsilon, eta, t), one at t = 0, plus the six-fold crossing just above t = 0."""
+    rng = np.random.default_rng(600 + m)
+    temps = (0.0, *rng.uniform(0.01, 3.0, 2))
+    return [(1.0, 1.0, 1e-15)] + [(*rng.uniform(-3.0, 3.0, 2), t) for t in temps]
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_sector_route_matches_dense_reference(m):
+    n = m + 1
+    for epsilon, eta, t in points(m):
+        params = SpinStarParams(m=m, omega=1.0, epsilon=epsilon, eta=eta)
+        h = build_hamiltonian(params)
+        blocks = list(sector_hamiltonians(params))
+        assert [k for k, _, _ in blocks] == list(range(n + 1))
+        for (k, states, block), (_, idx) in zip(blocks, sector_map(n).sectors):
+            assert np.array_equal(states, idx)
+            assert np.array_equal(block, restrict_to_sector(h, idx))
+
+        spec, dense = star_spectrum(params), spectrum_blocked(h, sector_map(n))
+        assert np.array_equal(spec.eigenvalues, dense.eigenvalues)
+        assert ground_manifold(spec).degeneracy == ground_manifold(dense).degeneracy
+
+        rho = reduced_state(spec, params, t)
+        reference = partial_trace(gibbs_state_from_spectrum(dense, t, params.omega),
+                                  range(1, n), n)
+        assert np.max(np.abs(rho - reference)) <= 1e-12
+        for k in range(m):
+            oracle = np.sum(np.abs(np.linalg.eigvalsh(brute_partial_transpose(rho, (k,), m)))) - 1
+            assert abs(negativity(rho, (k,)) - oracle) <= 1e-12
