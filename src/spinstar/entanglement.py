@@ -105,7 +105,9 @@ def negativity(rho: np.ndarray, part_a) -> float:
     blocks = [rho.take(flat) for flat in _charge_blocks(n_qubits, part)]
     if sum(np.count_nonzero(block) for block in blocks) != np.count_nonzero(rho):
         blocks = [partial_transpose(rho, part, n_qubits)]
-    raw = sum(float(np.sum(np.abs(np.linalg.eigvalsh(block)))) for block in blocks) - 1.0
+    # a 1x1 block is its own eigenvalue
+    spectra = [np.linalg.eigvalsh(block) if block.shape[-1] > 1 else block.real for block in blocks]
+    raw = float(sum(np.abs(values).sum() for values in spectra)) - 1.0
     if raw < NEGATIVITY_FLOOR:
         raise NumericalInvariantError(
             f"negativity {raw:.3e} below the {NEGATIVITY_FLOOR} floor; input is not a valid state")

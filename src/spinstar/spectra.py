@@ -43,14 +43,15 @@ class SpectralDecomposition:
     def lowest(self, count: int):
         """Yield (label, states, eigenvectors, ranks) per block, cut to the count lowest eigenvalues."""
         for k, states, vectors, ranks in self.blocks:
-            kept = int(np.searchsorted(ranks, count))  # ranks ascend within a block
+            kept = int(ranks.searchsorted(count))  # ranks ascend within a block
             yield k, states, vectors[:, :kept], ranks[:kept]
 
     def vectors(self, count: int) -> np.ndarray:
         """The eigenvectors of the count lowest eigenvalues, as columns in the full space."""
-        out = np.zeros((self.dim, count), dtype=np.result_type(*(b[2] for b in self.blocks)))
+        out = np.zeros((self.dim, count), dtype=self.blocks[0][2].dtype)
         for _, states, vectors, ranks in self.lowest(count):
-            out[np.ix_(states, ranks)] = vectors
+            if ranks.size:
+                out[states[:, None], ranks] = vectors
         return out
 
     @property

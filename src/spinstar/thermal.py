@@ -27,7 +27,7 @@ def check_temperature(t: float) -> None:
 
 def _as_state(rho: np.ndarray) -> np.ndarray:
     rho = 0.5 * (rho + rho.conj().T)
-    return rho / np.trace(rho).real
+    return rho / rho.trace().real
 
 
 def _boltzmann(spec: SpectralDecomposition, kt: float) -> np.ndarray:
@@ -62,10 +62,7 @@ def gibbs_state_from_spectrum(spec: SpectralDecomposition, t: float,
 
 
 def gibbs_state(h: np.ndarray, t: float) -> np.ndarray:
-    """Thermal state exp(-h/t) / Z of a dense Hermitian matrix, by full eigh.
-
-    t = 0 returns the uniform mixture over the ground manifold.
-    """
+    """Thermal state exp(-h/t) / Z of a dense Hermitian matrix by full eigh; t = 0: ground manifold."""
     check_temperature(t)
     return gibbs_state_from_spectrum(eigh(h), t)
 
@@ -124,7 +121,7 @@ def reduced_state(spec: SpectralDecomposition, params: SpinStarParams, t: float)
     for j in range(m + 1):
         low, high = math.comb(m, j), math.comb(m, j + 1)
         states = spec.blocks[j][1][:low]
-        rho[np.ix_(states, states)] = grams[j][:low, :low] + grams[j + 1][high:, high:]
+        rho[states[:, None], states] = grams[j][:low, :low] + grams[j + 1][high:, high:]
     return _as_state(rho)
 
 
