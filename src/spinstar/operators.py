@@ -27,9 +27,9 @@ _SINGLE_SITE = {
     "y": np.array([[0.0, 1.0j], [-1.0j, 0.0]]),
 }
 
-# One negativity point takes 0.8 s and 102 MiB at m=9, 4.9 s and 268 MiB at
-# m=10, and 26 s and 1.0 GiB at m=11 on a 2-vCPU machine; each further spin
-# quadruples the dense 2^(m+1)-dimensional real matrices.
+# A whole negativity --t 0.1 process takes 0.26 s and 42 MiB at m=9, 0.49 s and
+# 71 MiB at m=10, and 1.3 s and 182 MiB at m=11 on a 2-vCPU machine; the largest
+# excitation-sector block of H has C(m+1, (m+1)//2) rows.
 MAX_M = 11
 
 # SpinStarParams rejects a norm bound (m+1)*omega/2 + m*(|epsilon|+|eta|) of H
