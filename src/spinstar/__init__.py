@@ -19,8 +19,6 @@ from .operators import (
     SectorMap,
     SpinStarParams,
     build_hamiltonian,
-    hamiltonian_terms,
-    pauli_operator,
     sector_map,
 )
 from .spectra import (
@@ -38,11 +36,9 @@ from .sweep import (
     SweepRecord,
     evaluate_cell,
     evaluate_point,
-    run_sweep,
     sweep_records,
 )
 from .thermal import (
-    gibbs_state,
     gibbs_state_from_spectrum,
     partial_trace,
     reduced_thermal_state,
@@ -67,17 +63,13 @@ __all__ = [
     "eigh",
     "evaluate_cell",
     "evaluate_point",
-    "gibbs_state",
     "gibbs_state_from_spectrum",
     "ground_manifold",
-    "hamiltonian_terms",
     "multipartite_negativity",
     "negativity",
     "partial_trace",
     "partial_transpose",
-    "pauli_operator",
     "reduced_thermal_state",
-    "run_sweep",
     "sector_map",
     "spectrum_blocked",
     "sweep_records",

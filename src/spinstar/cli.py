@@ -16,7 +16,7 @@ import numpy as np
 from .entanglement import NumericalInvariantError
 from .operators import SpinStarParams
 from .spectra import analytic_ground_state_m3, analytic_spectrum_m3, ground_manifold
-from .sweep import (SweepGrid, evaluate_point, format_float, open_output, run_sweep,
+from .sweep import (SweepGrid, evaluate_point, format_float, open_output, sweep_records,
                     write_records, write_rows)
 from .thermal import star_spectrum
 
@@ -116,21 +116,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         epsilon_axis=args.epsilon_range,
         eta_axis=args.eta_range,
         temperatures=args.temps,
-        output_path=args.output,
     )
-    run_sweep(grid, fmt=args.format)
+    records = sweep_records(grid)
+    with open_output(args.output) as stream:
+        write_records(records, stream, args.format)
     return 0
 
 
 def _add_common(parser: argparse.ArgumentParser, point: bool = True) -> None:
     parser.add_argument("--m", type=int, default=3, help="number of peripheral spins (default 3)")
     parser.add_argument("--omega", type=float, default=1.0,
-                        help="natural frequency, the energy unit (default 1.0)")
+                        help="natural frequency, the unit of t (default 1.0)")
     if point:
         parser.add_argument("--epsilon", type=float, default=0.0,
-                            help="central coupling, in units of omega (default 0)")
+                            help="central coupling, an energy in omega's unit (default 0)")
         parser.add_argument("--eta", type=float, default=0.0,
-                            help="ring coupling, in units of omega (default 0)")
+                            help="ring coupling, an energy in omega's unit (default 0)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="output format (default csv)")
     parser.add_argument("--output", default="-", metavar="PATH",

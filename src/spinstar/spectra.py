@@ -19,11 +19,11 @@ class SpectralDecomposition:
     Each matrix is checked Hermitian to 1e-10.  blocks holds (label, states,
     eigenvectors over states, ranks of their eigenvalues in eigenvalues),
     which ascend with exact ties broken by label, then block order.
-    sector_labels is None for an unblocked eigh; gaps[i] is the level energy
-    of eigenvalue i (see level_energies) minus the lowest.
+    sector_labels holds each eigenvalue's block label; gaps[i] is the level
+    energy of eigenvalue i (see level_energies) minus the lowest.
     """
 
-    def __init__(self, blocks, labelled: bool = True):
+    def __init__(self, blocks):
         pairs = [(k, states, *np.linalg.eigh(_hermitian(op))) for k, states, op in blocks]
         values = np.concatenate([w for _, _, w, _ in pairs])
         if values.size == 0:
@@ -34,7 +34,7 @@ class SpectralDecomposition:
         ranks[order] = np.arange(order.size)
         self.dim = int(values.size)
         self.eigenvalues = values[order]
-        self.sector_labels = labels[order] if labelled else None
+        self.sector_labels = labels[order]
         self.gaps = level_energies(self.eigenvalues) - self.eigenvalues[0]
         ends = np.cumsum([w.size for _, _, w, _ in pairs])
         self.blocks = [(k, states, v, ranks[end - w.size:end])
@@ -69,9 +69,12 @@ class GroundManifold:
     basis: np.ndarray
 
 
-def degeneracy_tolerance(energy: float) -> float:
-    """Default band for grouping numerically degenerate eigenvalues."""
-    return 1e-9 * max(1.0, abs(energy))
+def degeneracy_tolerance(eigenvalues: np.ndarray) -> float:
+    """Band for grouping numerically degenerate ascending eigenvalues: 1e-9 of the largest |value|.
+
+    It scales with H, so a change of energy unit groups the same levels.
+    """
+    return 1e-9 * max(abs(eigenvalues[0]), abs(eigenvalues[-1]))
 
 
 def _hermitian(op: np.ndarray) -> np.ndarray:
@@ -84,8 +87,8 @@ def _hermitian(op: np.ndarray) -> np.ndarray:
 
 
 def eigh(op: np.ndarray) -> SpectralDecomposition:
-    """Full spectrum of a Hermitian matrix (checked to 1e-10), eigenvalues ascending."""
-    return SpectralDecomposition([(0, np.arange(np.shape(op)[0]), op)], labelled=False)
+    """Full spectrum of a Hermitian matrix (checked to 1e-10) as one block with label 0."""
+    return SpectralDecomposition([(0, np.arange(np.shape(op)[0]), op)])
 
 
 def spectrum_blocked(op: np.ndarray, sectors: SectorMap) -> SpectralDecomposition:
@@ -140,27 +143,28 @@ def analytic_ground_state_m3(epsilon: float, eta: float) -> np.ndarray:
     Superposition of the excited central spin over the peripheral vacuum and
     the symmetric one-excitation (W) state of the ring; it is the ground
     state in the regime where the central coupling dominates the ring one.
+    It depends on epsilon:eta alone, so both are first divided by the larger.
     """
-    root = np.sqrt(3.0 * epsilon ** 2 + eta ** 2)
+    scale = max(abs(epsilon), abs(eta)) or 1.0
+    epsilon, eta = epsilon / scale, eta / scale
     vec = np.zeros(16)
-    vec[0b1000] = eta + root
-    vec[0b0100] = -epsilon
-    vec[0b0010] = -epsilon
-    vec[0b0001] = -epsilon
-    norm = np.linalg.norm(vec)
-    if norm < 1e-15:
+    vec[0b1000] = eta + np.sqrt(3.0 * epsilon ** 2 + eta ** 2)
+    vec[[0b0100, 0b0010, 0b0001]] = -epsilon
+    peak = np.max(np.abs(vec))
+    if peak == 0:
         raise ValueError("closed-form state is undefined for epsilon=0 with eta<=0")
-    return vec / norm
+    vec /= peak
+    return vec / np.linalg.norm(vec)
 
 
 def level_energies(eigenvalues: np.ndarray) -> np.ndarray:
     """Each ascending eigenvalue replaced by the lowest eigenvalue of its level.
 
     A level is a run of eigenvalues whose neighbouring gaps are all at most
-    degeneracy_tolerance of the lowest eigenvalue, so floating-point
-    splittings inside a degenerate level never separate it.
+    degeneracy_tolerance(eigenvalues), so floating-point splittings inside
+    a degenerate level never separate it.
     """
-    opens = np.concatenate(([True], np.diff(eigenvalues) > degeneracy_tolerance(eigenvalues[0])))
+    opens = np.concatenate(([True], np.diff(eigenvalues) > degeneracy_tolerance(eigenvalues)))
     return eigenvalues[opens][np.cumsum(opens) - 1]
 
 

@@ -20,6 +20,10 @@ from .operators import SpinStarParams
 from .spectra import ground_manifold
 from .thermal import check_temperature, reduced_state, star_spectrum
 
+# A sweep holds every record until it writes them, about 350 B each at m=3 and
+# 500 B at m=11 (tracemalloc): this keeps a sweep's records under 0.5 GB.
+MAX_SWEEP_RECORDS = 10 ** 6
+
 
 @dataclass(frozen=True)
 class SweepGrid:
@@ -30,7 +34,6 @@ class SweepGrid:
     epsilon_axis: tuple[float, float, int]
     eta_axis: tuple[float, float, int]
     temperatures: tuple[float, ...]
-    output_path: str = "-"
 
     def __post_init__(self):
         for name, axis in (("epsilon", self.epsilon_axis), ("eta", self.eta_axis)):
@@ -41,6 +44,9 @@ class SweepGrid:
                 raise ValueError(f"{name} axis needs count >= 1, got {count}")
             if lo > hi:
                 raise ValueError(f"{name} axis has min {lo} > max {hi}")
+        records = self.epsilon_axis[2] * self.eta_axis[2] * len(self.temperatures)
+        if records > MAX_SWEEP_RECORDS:
+            raise ValueError(f"{records} records exceed MAX_SWEEP_RECORDS={MAX_SWEEP_RECORDS}")
         # the largest |coupling| of each axis: no cell can then fail the parameter checks
         SpinStarParams(self.m, self.omega, max(map(abs, self.epsilon_axis[:2])),
                        max(map(abs, self.eta_axis[:2])))
@@ -156,11 +162,3 @@ def open_output(path: str):
     else:
         with open(path, "w", encoding="ascii") as stream:
             yield stream
-
-
-def run_sweep(grid: SweepGrid, fmt: str = "csv") -> list[SweepRecord]:
-    """Evaluate the grid and write it to grid.output_path ('-' for stdout)."""
-    records = sweep_records(grid)
-    with open_output(grid.output_path) as stream:
-        write_records(records, stream, fmt)
-    return records

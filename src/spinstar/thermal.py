@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .operators import SpinStarParams, sector_hamiltonians
-from .spectra import SpectralDecomposition, eigh
+from .spectra import SpectralDecomposition
 
 # Boltzmann weights below this, relative to the ground level's 1, are dropped.
 WEIGHT_FLOOR = 1e-300
@@ -46,25 +46,16 @@ def _boltzmann(spec: SpectralDecomposition, kt: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def gibbs_state_from_spectrum(spec: SpectralDecomposition, t: float,
-                              energy_scale: float = 1.0) -> np.ndarray:
-    """Gibbs state exp(-H/(t*energy_scale)) / Z from a precomputed spectrum.
+def gibbs_state_from_spectrum(spec: SpectralDecomposition, t: float) -> np.ndarray:
+    """Gibbs state exp(-H/t) / Z from a precomputed spectrum, t in the unit of its eigenvalues.
 
-    The dense reference route for reduced_state.  t*energy_scale = 0, also
-    by underflow, keeps the ground level alone (the ground-manifold mixture).
+    The dense reference route for reduced_state.  t = 0 keeps the ground
+    level alone (the ground-manifold mixture).
     """
     check_temperature(t)
-    if not energy_scale > 0:
-        raise ValueError(f"energy scale must be positive, got {energy_scale}")
-    weights = _boltzmann(spec, t * energy_scale)
+    weights = _boltzmann(spec, t)
     vectors = spec.vectors(weights.size)
     return _as_state((vectors * weights) @ vectors.conj().T)
-
-
-def gibbs_state(h: np.ndarray, t: float) -> np.ndarray:
-    """Thermal state exp(-h/t) / Z of a dense Hermitian matrix by full eigh; t = 0: ground manifold."""
-    check_temperature(t)
-    return gibbs_state_from_spectrum(eigh(h), t)
 
 
 def zero_temperature_state(spec: SpectralDecomposition) -> np.ndarray:

@@ -241,8 +241,7 @@ def test_criterion_08_blocked_solver_equivalence():
                                  float(np.max(np.abs(full.eigenvalues - blocked.eigenvalues))))
             params = SpinStarParams(m=m, omega=1.0, epsilon=eps, eta=eta)
             via_blocked = reduced_thermal_state(params, t)
-            via_full = partial_trace(gibbs_state_from_spectrum(full, t, 1.0),
-                                     range(1, m + 1), m + 1)
+            via_full = partial_trace(gibbs_state_from_spectrum(full, t), range(1, m + 1), m + 1)
             worst_state = max(worst_state, float(np.max(np.abs(via_blocked - via_full))))
     ok = worst_spectrum <= 1e-10 and worst_state <= 1e-10
     line = report(8, "blocked-solver-equivalence", ok,

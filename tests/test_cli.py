@@ -99,6 +99,17 @@ def test_ground_nondegenerate_overlap(capsys):
     assert float(rows[0]["analytic_ground_fidelity"]) >= 1.0 - 1e-10
 
 
+def test_ground_does_not_depend_on_the_energy_unit(capsys):
+    rows = []
+    for omega, eps, eta in (("1", "1", "0.5"), ("1e-20", "1e-20", "5e-21")):
+        code, out, _ = run_cli(capsys, "ground", "--m", "3", "--omega", omega,
+                               "--epsilon", eps, "--eta", eta)
+        assert code == 0
+        rows.append(parse_csv(out)[1][0])
+    for key in ("ground_degeneracy", "analytic_ground_fidelity"):
+        assert rows[0][key] == rows[1][key] == "1"
+
+
 def test_ground_four_fold(capsys):
     code, out, _ = run_cli(capsys, "ground", "--m", "3", "--epsilon", "1", "--eta", "2")
     assert code == 0
@@ -249,6 +260,10 @@ SWEEP = ("sweep", "--m", "3", "--epsilon-range", "0:1:2", "--eta-range", "0:1:2"
                  "epsilon=1e+308, eta=1e+308", id="sweep-couplings-1e308"),
     pytest.param(("negativity", "--m", "3", "--epsilon", "1e308", "--eta", "1e308", "--t", "1"),
                  "epsilon=1e+308, eta=1e+308", id="negativity-t1-couplings-1e308"),
+    # a grid too large to hold is refused before its axes are allocated
+    pytest.param(("sweep", "--m", "3", "--epsilon-range", "0:1:1000000000000",
+                  "--eta-range", "0:1:1", "--temps", "0.1"), "MAX_SWEEP_RECORDS",
+                 id="sweep-1e12-records"),
 ])
 def test_out_of_range_inputs_exit_2_up_front(capsys, argv, named):
     with warnings.catch_warnings():

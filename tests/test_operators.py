@@ -4,56 +4,10 @@ import pytest
 from spinstar import (
     SpinStarParams,
     build_hamiltonian,
-    pauli_operator,
     sector_map,
 )
 
 from oracles import kron_chain, qubit_permutation_matrix, restrict_to_sector
-
-
-def test_pauli_z_single_qubit():
-    # basis order |0>, |1>; sigma_z|1> = +|1>
-    assert np.array_equal(pauli_operator(0, "z", 1), np.diag([-1.0 + 0j, 1.0]))
-
-
-def test_pauli_plus_raises_second_qubit():
-    op = pauli_operator(1, "plus", 2)
-    ket00 = np.array([1, 0, 0, 0], dtype=complex)
-    ket01 = np.array([0, 1, 0, 0], dtype=complex)
-    assert np.allclose(op @ ket00, ket01)
-    assert np.allclose(op @ ket01, 0.0)
-
-
-def test_pauli_ladder_and_xy_relations():
-    plus = pauli_operator(0, "plus", 1)
-    minus = pauli_operator(0, "minus", 1)
-    x = pauli_operator(0, "x", 1)
-    y = pauli_operator(0, "y", 1)
-    z = pauli_operator(0, "z", 1)
-    assert np.allclose(minus, plus.conj().T)
-    assert np.allclose(x, plus + minus)
-    assert np.allclose(y, -1j * (plus - minus))
-    assert np.allclose(x @ y - y @ x, 2j * z)
-
-
-def test_distinct_site_operators_commute():
-    a = pauli_operator(0, "z", 2)
-    b = pauli_operator(1, "z", 2)
-    assert np.allclose(a @ b - b @ a, 0.0)
-    c = pauli_operator(0, "plus", 3)
-    d = pauli_operator(2, "minus", 3)
-    assert np.allclose(c @ d - d @ c, 0.0)
-
-
-def test_pauli_operator_input_errors():
-    with pytest.raises(ValueError):
-        pauli_operator(2, "z", 2)
-    with pytest.raises(ValueError):
-        pauli_operator(-1, "z", 2)
-    with pytest.raises(ValueError):
-        pauli_operator(0, "z", 0)
-    with pytest.raises(ValueError):
-        pauli_operator(0, "w", 2)
 
 
 def test_params_validation():
@@ -85,17 +39,19 @@ def test_hamiltonian_matches_explicit_kron_build():
     def site_ops(mapping, n):
         return kron_chain([mapping.get(k, eye) for k in range(n)])
 
-    m, omega, eps, eta = 3, 1.3, 0.7, -0.4
-    n = m + 1
-    expected = sum(0.5 * omega * site_ops({k: sz}, n) for k in range(n))
-    for k in range(1, m + 1):
-        expected = expected + eps * (site_ops({k: sp, 0: sm}, n) + site_ops({k: sm, 0: sp}, n))
-    for k in range(1, m + 1):
-        j = 1 if k == m else k + 1
-        expected = expected + eta * (site_ops({k: sp, j: sm}, n) + site_ops({k: sm, j: sp}, n))
+    rng = np.random.default_rng(70)
+    for m in range(2, 8):
+        omega, eps, eta = rng.uniform(0.1, 3.0), *rng.uniform(-3.0, 3.0, 2)
+        n = m + 1
+        expected = sum(0.5 * omega * site_ops({k: sz}, n) for k in range(n))
+        for k in range(1, m + 1):
+            expected = expected + eps * (site_ops({k: sp, 0: sm}, n) + site_ops({k: sm, 0: sp}, n))
+        for k in range(1, m + 1):
+            j = 1 if k == m else k + 1
+            expected = expected + eta * (site_ops({k: sp, j: sm}, n) + site_ops({k: sm, j: sp}, n))
 
-    h = build_hamiltonian(SpinStarParams(m=m, omega=omega, epsilon=eps, eta=eta))
-    assert np.max(np.abs(h - expected)) < 1e-14
+        h = build_hamiltonian(SpinStarParams(m=m, omega=omega, epsilon=eps, eta=eta))
+        assert np.max(np.abs(h - expected)) < 1e-14
 
 
 def test_hamiltonian_m2_ring_pair_counted_twice():

@@ -1,8 +1,9 @@
 """The sector-native evaluation path against the dense reference route.
 
 star_spectrum, reduced_state and negativity never form a 2^(m+1)-dimensional
-matrix; build_hamiltonian, spectrum_blocked, gibbs_state_from_spectrum and
-partial_trace do, and stay as the reference they are checked against here.
+matrix; spectrum_blocked, gibbs_state_from_spectrum and partial_trace do, and
+stay as the reference they are checked against here.  build_hamiltonian
+places the sector blocks, so both are pinned to the bit-flip oracle.
 """
 
 import numpy as np
@@ -21,7 +22,7 @@ from spinstar import (
 from spinstar.operators import sector_hamiltonians
 from spinstar.thermal import reduced_state, star_spectrum
 
-from oracles import brute_partial_transpose, restrict_to_sector
+from oracles import brute_partial_transpose, brute_star_hamiltonian, restrict_to_sector
 
 
 def points(m):
@@ -37,6 +38,7 @@ def test_sector_route_matches_dense_reference(m):
     for epsilon, eta, t in points(m):
         params = SpinStarParams(m=m, omega=1.0, epsilon=epsilon, eta=eta)
         h = build_hamiltonian(params)
+        assert np.array_equal(h, brute_star_hamiltonian(m, 1.0, epsilon, eta))
         blocks = list(sector_hamiltonians(params))
         assert [k for k, _, _ in blocks] == list(range(n + 1))
         for (k, states, block), (_, idx) in zip(blocks, sector_map(n).sectors):
@@ -48,8 +50,7 @@ def test_sector_route_matches_dense_reference(m):
         assert ground_manifold(spec).degeneracy == ground_manifold(dense).degeneracy
 
         rho = reduced_state(spec, params, t)
-        reference = partial_trace(gibbs_state_from_spectrum(dense, t, params.omega),
-                                  range(1, n), n)
+        reference = partial_trace(gibbs_state_from_spectrum(dense, t), range(1, n), n)
         assert np.max(np.abs(rho - reference)) <= 1e-12
         for k in range(m):
             oracle = np.sum(np.abs(np.linalg.eigvalsh(brute_partial_transpose(rho, (k,), m)))) - 1

@@ -159,12 +159,13 @@ def test_ground_energy_piecewise_in_eta():
 
 
 def test_analytic_ground_state_is_eigenvector():
-    eps, eta = 1.0, 0.5
-    h = star(3, 1.0, eps, eta)
-    vec = analytic_ground_state_m3(eps, eta)
-    assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
-    energy = eta - np.sqrt(3 * eps ** 2 + eta ** 2) - 1.0
-    assert np.max(np.abs(h @ vec - energy * vec)) < 1e-12
+    # tiny couplings and a tiny epsilon:eta ratio, whose squares underflow, are defined too
+    for eps, eta in ((1.0, 0.5), (1e-20, 5e-21), (1e-200, -1.0)):
+        h = star(3, 1.0, eps, eta)
+        vec = analytic_ground_state_m3(eps, eta)
+        assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
+        energy = eta - np.sqrt(3 * eps ** 2 + eta ** 2) - 1.0
+        assert np.max(np.abs(h @ vec - energy * vec)) < 1e-12
 
 
 def test_analytic_ground_state_undefined_when_empty():

@@ -9,11 +9,10 @@ from spinstar import (
     SpinStarParams,
     SweepGrid,
     evaluate_point,
-    run_sweep,
     sweep_records,
 )
 from spinstar.operators import MAX_M
-from spinstar.sweep import write_records
+from spinstar.sweep import MAX_SWEEP_RECORDS, open_output, write_records
 
 HEADER_M3 = ("epsilon,eta,t,neg_multi,neg_cut_1,neg_cut_2,neg_cut_3,"
              "ground_energy,ground_degeneracy,degenerate_cell")
@@ -52,13 +51,20 @@ def test_grid_validation():
     # refused before any cell runs: the axis reaches past the energy bound
     with pytest.raises(ValueError, match="energy bound"):
         small_grid(epsilon_axis=(-1e150, 0.0, 3))
+    # refused before the axes are allocated: every record is held until it is written
+    with pytest.raises(ValueError, match="MAX_SWEEP_RECORDS"):
+        small_grid(epsilon_axis=(0.0, 1.0, 10 ** 12), eta_axis=(0.0, 1.0, 1))
+    with pytest.raises(ValueError, match="MAX_SWEEP_RECORDS"):
+        small_grid(epsilon_axis=(0.0, 1.0, MAX_SWEEP_RECORDS // 2 + 1), eta_axis=(0.0, 1.0, 1))
+    small_grid(epsilon_axis=(0.0, 1.0, MAX_SWEEP_RECORDS // 2), eta_axis=(0.0, 1.0, 1))
 
 
 def test_single_cell_grid(tmp_path):
     path = tmp_path / "one.csv"
     grid = SweepGrid(m=3, omega=1.0, epsilon_axis=(1.0, 1.0, 1), eta_axis=(0.5, 0.5, 1),
-                     temperatures=(0.01,), output_path=str(path))
-    run_sweep(grid)
+                     temperatures=(0.01,))
+    with open_output(str(path)) as stream:
+        write_records(sweep_records(grid), stream)
     lines = path.read_text().splitlines()
     assert len(lines) == 2
     assert lines[0] == HEADER_M3
@@ -84,8 +90,9 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     for tag in ("a", "b"):
         path = tmp_path / f"{tag}.csv"
         grid = SweepGrid(m=4, omega=1.0, epsilon_axis=(0.0, 3.0, 3), eta_axis=(0.0, 3.0, 3),
-                         temperatures=(0.1,), output_path=str(path))
-        run_sweep(grid)
+                         temperatures=(0.1,))
+        with open_output(str(path)) as stream:
+            write_records(sweep_records(grid), stream)
         texts.append(path.read_bytes())
     assert texts[0] == texts[1]
 
@@ -163,8 +170,10 @@ def test_negativity_vs_eta_dips_then_plateaus():
 def test_full_grid_row_count_and_crossing_column(tmp_path):
     path = tmp_path / "fig_grid.csv"
     grid = SweepGrid(m=3, omega=1.0, epsilon_axis=(0.0, 10.0, 41), eta_axis=(0.0, 10.0, 41),
-                     temperatures=(0.01,), output_path=str(path))
-    records = run_sweep(grid)
+                     temperatures=(0.01,))
+    records = sweep_records(grid)
+    with open_output(str(path)) as stream:
+        write_records(records, stream)
     assert len(path.read_text().splitlines()) == 1 + 1681
     values = np.array([r.neg_multi for r in records]).reshape(41, 41)  # [eta, eps]
     eta_one = values[4, :]  # eta = 1.0 on the 0.25-step axis
@@ -191,3 +200,15 @@ def test_high_temperature_grid_washes_out():
         return max(r.neg_multi for r in sweep_records(grid))
 
     assert grid_max(5.0) < grid_max(0.01)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e6, 1e12])
+def test_results_do_not_depend_on_the_energy_unit(m, scale):
+    # t is in units of omega, so scaling (omega, epsilon, eta) together changes nothing
+    for t in (0.0, 0.01, 0.3):
+        unit = evaluate_point(SpinStarParams(m=m, omega=1.0, epsilon=1.0, eta=0.5), t)
+        scaled = evaluate_point(SpinStarParams(m=m, omega=scale, epsilon=scale, eta=0.5 * scale), t)
+        assert scaled.ground_degeneracy == unit.ground_degeneracy == 1
+        assert abs(scaled.neg_multi - unit.neg_multi) <= 1e-12
+        assert np.max(np.abs(np.subtract(scaled.per_cut, unit.per_cut))) <= 1e-12

@@ -6,7 +6,7 @@ from spinstar import (
     analytic_ground_state_m3,
     build_hamiltonian,
     eigh,
-    gibbs_state,
+    gibbs_state_from_spectrum,
     multipartite_negativity,
     partial_trace,
     reduced_thermal_state,
@@ -31,24 +31,24 @@ def star(m, omega, eps, eta):
 
 def test_gibbs_flat_hamiltonian_is_maximally_mixed():
     for dim in (2, 8):
-        rho = gibbs_state(np.zeros((dim, dim)), 0.7)
+        rho = gibbs_state_from_spectrum(eigh(np.zeros((dim, dim))), 0.7)
         assert np.max(np.abs(rho - np.eye(dim) / dim)) < 1e-14
 
 
 def test_gibbs_high_temperature_flattens():
     h = star(3, 1.0, 2.0, 1.0)
-    rho = gibbs_state(h, 1e6)
+    rho = gibbs_state_from_spectrum(eigh(h), 1e6)
     assert np.max(np.abs(rho - np.eye(16) / 16)) < 1e-5
 
 
 def test_gibbs_rejects_negative_temperature():
     with pytest.raises(ValueError):
-        gibbs_state(np.zeros((2, 2)), -0.1)
+        gibbs_state_from_spectrum(eigh(np.zeros((2, 2))), -0.1)
 
 
 def test_gibbs_zero_routes_to_ground_manifold():
     h = np.diag([0.0, 0.0, 1.0, 3.0])
-    rho = gibbs_state(h, 0.0)
+    rho = gibbs_state_from_spectrum(eigh(h), 0.0)
     expected = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
     assert np.max(np.abs(rho - expected)) < 1e-12
 
@@ -57,7 +57,7 @@ def test_gibbs_matches_independent_weight_computation():
     rng = np.random.default_rng(17)
     h = star(3, 1.0, *rng.uniform(0, 5, 2))
     t = 0.4
-    rho = gibbs_state(h, t)
+    rho = gibbs_state_from_spectrum(eigh(h), t)
     lam, v = np.linalg.eigh(h)
     weights = np.exp(-(lam - lam.min()) / t)
     weights /= weights.sum()
@@ -69,7 +69,7 @@ def test_gibbs_unit_trace_and_positivity():
     rng = np.random.default_rng(23)
     for t in (0.01, 0.5, 10.0):
         h = star(3, 1.0, *rng.uniform(-5, 5, 2))
-        rho = gibbs_state(h, t)
+        rho = gibbs_state_from_spectrum(eigh(h), t)
         assert abs(np.trace(rho) - 1.0) < 1e-12
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
         assert np.linalg.eigvalsh(rho).min() > -1e-10
@@ -78,7 +78,7 @@ def test_gibbs_unit_trace_and_positivity():
 def test_cold_gibbs_concentrates_on_ground_state():
     # gap to the first excited level is about 0.30 here, so exp(-30) leakage
     h = star(3, 1.0, 1.0, 0.5)
-    rho = gibbs_state(h, 0.01)
+    rho = gibbs_state_from_spectrum(eigh(h), 0.01)
     ground = analytic_ground_state_m3(1.0, 0.5)
     population = (ground.conj() @ rho @ ground).real
     assert population > 1.0 - 1e-6
@@ -111,7 +111,7 @@ def test_zero_temperature_state_constant_beyond_crossing():
 def test_zero_temperature_is_cold_gibbs_limit():
     for eps, eta in ((1.0, 0.5), (1.0, 2.0)):
         h = star(3, 1.0, eps, eta)
-        cold = gibbs_state(h, 1e-4)
+        cold = gibbs_state_from_spectrum(eigh(h), 1e-4)
         frozen = zero_temperature_state(eigh(h))
         assert np.max(np.abs(cold - frozen)) < 1e-6
 
