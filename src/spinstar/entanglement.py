@@ -3,6 +3,7 @@ defined as the geometric mean over all one-spin-versus-rest cuts."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,7 +38,8 @@ def _infer_n_qubits(rho: np.ndarray) -> int:
     return n
 
 
-def _part(part_a, n_qubits: int) -> tuple[int, ...]:
+@lru_cache(maxsize=256)
+def _part(part_a: tuple, n_qubits: int) -> tuple[int, ...]:
     part = tuple(sorted(set(int(q) for q in part_a)))
     if not part:
         raise ValueError("part_a must name at least one qubit")
@@ -56,7 +58,7 @@ def partial_transpose(rho: np.ndarray, part_a, n_qubits: int) -> np.ndarray:
     dim = 2 ** n_qubits
     if rho.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix, got {rho.shape}")
-    part = _part(part_a, n_qubits)
+    part = _part(tuple(part_a), n_qubits)
     tensor = rho.reshape((2,) * (2 * n_qubits))
     perm = list(range(2 * n_qubits))
     for q in part:
@@ -65,11 +67,13 @@ def partial_transpose(rho: np.ndarray, part_a, n_qubits: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _charge_blocks(n_qubits: int, part: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """Flat indices into rho of the blocks of its partial transpose over part, by size.
+def _charge_blocks(n_qubits: int, part: tuple[int, ...]):
+    """One flat index into rho gathering the blocks of its partial transpose over part.
 
-    Where rho conserves the excitation number, its partial transpose
-    conserves the charge q = popcount(rest bits) - popcount(part bits).
+    Returns the index and, per block size, the slice of the gathered values
+    holding those blocks and their (count, size, size) shape.  Where rho
+    conserves the excitation number, its partial transpose conserves the
+    charge q = popcount(rest bits) - popcount(part bits).
     """
     dim = 2 ** n_qubits
     mask = sum(1 << (n_qubits - 1 - q) for q in part)
@@ -82,10 +86,11 @@ def _charge_blocks(n_qubits: int, part: tuple[int, ...]) -> tuple[np.ndarray, ..
     for rows in by_size.values():
         r, c = np.stack(rows)[:, :, None], np.stack(rows)[:, None, :]
         # <ab| rho^T_A |a'b'> = <a'b| rho |ab'>: swap the part bits of row and column
-        flat = ((r & ~mask) | (c & mask)) * dim + ((c & ~mask) | (r & mask))
-        flat.setflags(write=False)
-        groups.append(flat)
-    return tuple(groups)
+        groups.append(((r & ~mask) | (c & mask)) * dim + ((c & ~mask) | (r & mask)))
+    ends = np.cumsum([flat.size for flat in groups])
+    index = np.concatenate([flat.ravel() for flat in groups])
+    index.setflags(write=False)
+    return index, tuple((slice(end - flat.size, end), flat.shape) for flat, end in zip(groups, ends))
 
 
 def negativity(rho: np.ndarray, part_a) -> float:
@@ -99,15 +104,17 @@ def negativity(rho: np.ndarray, part_a) -> float:
     """
     rho = np.asarray(rho)
     n_qubits = _infer_n_qubits(rho)
-    part = _part(part_a, n_qubits)
+    part = _part(tuple(part_a), n_qubits)
     if len(part) == n_qubits:
         raise ValueError("part_a must be a proper subset of the qubits")
-    blocks = [rho.take(flat) for flat in _charge_blocks(n_qubits, part)]
-    if sum(np.count_nonzero(block) for block in blocks) != np.count_nonzero(rho):
+    index, layout = _charge_blocks(n_qubits, part)
+    gathered = rho.take(index)
+    blocks = [gathered[span].reshape(shape) for span, shape in layout]
+    if np.count_nonzero(gathered) != np.count_nonzero(rho):
         blocks = [partial_transpose(rho, part, n_qubits)]
-    # a 1x1 block is its own eigenvalue
+    # a 1x1 block is its own eigenvalue; add.reduce skips ndarray.sum's Python wrapper
     spectra = [np.linalg.eigvalsh(block) if block.shape[-1] > 1 else block.real for block in blocks]
-    raw = float(sum(np.abs(values).sum() for values in spectra)) - 1.0
+    raw = float(sum(np.add.reduce(np.abs(values), axis=None) for values in spectra)) - 1.0
     if raw < NEGATIVITY_FLOOR:
         raise NumericalInvariantError(
             f"negativity {raw:.3e} below the {NEGATIVITY_FLOOR} floor; input is not a valid state")
@@ -132,5 +139,5 @@ def multipartite_negativity(rho: np.ndarray, m: int) -> NegativityReport:
         mean = 0.0
     else:
         # geometric mean through logs: robust to underflow of the raw product
-        mean = float(np.exp(np.mean(np.log(values))))
+        mean = math.exp(sum(map(math.log, values)) / m)
     return NegativityReport(per_cut=values, multipartite=mean)

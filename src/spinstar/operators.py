@@ -84,8 +84,8 @@ def build_hamiltonian(params: SpinStarParams) -> np.ndarray:
     with the total excitation number.  This is the dense reference route.
     """
     h = np.zeros((2 ** params.n_qubits,) * 2)
-    for _, states, block in sector_hamiltonians(params):
-        h[states[:, None], states] = block
+    for _, states, blocks in sector_hamiltonians([params]):
+        h[states[:, None], states] = blocks[0]
     return h
 
 
@@ -134,14 +134,17 @@ def sector_terms(m: int) -> tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray,
     return tuple(out)
 
 
-def sector_hamiltonians(params: SpinStarParams):
-    """Yield (k, states, block) for k = 0..m+1: omega*(k - (m+1)/2)*I + epsilon*E_k + eta*R_k.
+def sector_hamiltonians(cells):
+    """Yield (k, states, blocks) for k = 0..m+1, stacked over cells sharing m and omega.
 
-    build_hamiltonian places these blocks in the full space.
+    blocks[i] = omega*(k - (m+1)/2)*I + epsilon_i*E_k + eta_i*R_k for the
+    i-th SpinStarParams of cells; build_hamiltonian places a one-cell stack.
     """
-    half = params.n_qubits / 2
-    for k, states, flat, central, ring in sector_terms(params.m):
-        block = np.zeros((states.size, states.size))
-        block.flat[::states.size + 1] = params.omega * (k - half)
-        block.flat[flat] = params.epsilon * central + params.eta * ring
-        yield k, states, block
+    m, omega = cells[0].m, cells[0].omega
+    epsilon, eta = np.array([[p.epsilon, p.eta] for p in cells]).T[:, :, None]
+    half = (m + 1) / 2
+    for k, states, flat, central, ring in sector_terms(m):
+        blocks = np.zeros((len(cells), states.size ** 2))
+        blocks[:, ::states.size + 1] = omega * (k - half)
+        blocks[:, flat] = epsilon * central + eta * ring
+        yield k, states, blocks.reshape(-1, states.size, states.size)

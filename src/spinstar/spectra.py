@@ -3,6 +3,7 @@ closed-form three-spin-star spectrum used as an independent oracle."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,21 +15,19 @@ BLOCK_TOL = 1e-10
 
 
 class SpectralDecomposition:
-    """Spectrum of a Hermitian operator, diagonalized per (label, states, matrix) block.
+    """Spectrum of a Hermitian operator from a list of (label, states, eigenvalues, eigenvectors).
 
-    Each matrix is checked Hermitian to 1e-10.  blocks holds (label, states,
-    eigenvectors over states, ranks of their eigenvalues in eigenvalues),
-    which ascend with exact ties broken by label, then block order.
-    sector_labels holds each eigenvalue's block label; gaps[i] is the level
-    energy of eigenvalue i (see level_energies) minus the lowest.
+    blocks holds (label, states, eigenvectors over states, ranks of their
+    eigenvalues in eigenvalues), which ascend with exact ties broken by
+    label, then block order.  sector_labels holds each eigenvalue's block
+    label; gaps[i] is the level energy of eigenvalue i minus the lowest.
     """
 
     def __init__(self, blocks):
-        pairs = [(k, states, *np.linalg.eigh(_hermitian(op))) for k, states, op in blocks]
-        values = np.concatenate([w for _, _, w, _ in pairs])
+        values = np.concatenate([w for _, _, w, _ in blocks])
         if values.size == 0:
             raise ValueError("empty spectral decomposition")
-        labels = np.concatenate([np.full(w.size, k) for k, _, w, _ in pairs])
+        labels = np.concatenate([np.full(w.size, k) for k, _, w, _ in blocks])
         order = np.lexsort((np.arange(values.size), labels, values))
         ranks = np.empty_like(order)
         ranks[order] = np.arange(order.size)
@@ -36,9 +35,9 @@ class SpectralDecomposition:
         self.eigenvalues = values[order]
         self.sector_labels = labels[order]
         self.gaps = level_energies(self.eigenvalues) - self.eigenvalues[0]
-        ends = np.cumsum([w.size for _, _, w, _ in pairs])
+        ends = np.cumsum([w.size for _, _, w, _ in blocks])
         self.blocks = [(k, states, v, ranks[end - w.size:end])
-                       for (k, states, w, v), end in zip(pairs, ends)]
+                       for (k, states, w, v), end in zip(blocks, ends)]
 
     def lowest(self, count: int):
         """Yield (label, states, eigenvectors, ranks) per block, cut to the count lowest eigenvalues."""
@@ -53,11 +52,6 @@ class SpectralDecomposition:
             if ranks.size:
                 out[states[:, None], ranks] = vectors
         return out
-
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        """Dense dim x dim eigenvector matrix, columns in eigenvalue order; built on each access."""
-        return self.vectors(self.dim)
 
 
 @dataclass
@@ -78,17 +72,27 @@ def degeneracy_tolerance(eigenvalues: np.ndarray) -> float:
 
 
 def _hermitian(op: np.ndarray) -> np.ndarray:
-    """op as an array of its own dtype; rejected if not Hermitian to 1e-10 in max-norm."""
+    """op, a matrix or a stack, as an array; rejected if any is not Hermitian to 1e-10 in max-norm."""
     op = np.asarray(op)
-    deviation = np.max(np.abs(op - op.conj().T))
+    deviation = np.max(np.abs(op - np.swapaxes(op, -1, -2).conj()))
     if deviation > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (max deviation {deviation:.3e})")
     return op
 
 
+def stacked_spectra(stacks) -> list[SpectralDecomposition]:
+    """One SpectralDecomposition per cell from (label, states, (cells, d, d) stack) blocks.
+
+    Each stack is checked by _hermitian and solved by one eigh call.
+    """
+    solved = [(k, states, *np.linalg.eigh(_hermitian(stack))) for k, states, stack in stacks]
+    return [SpectralDecomposition([(k, states, w[i], v[i]) for k, states, w, v in solved])
+            for i in range(len(solved[0][2]))]
+
+
 def eigh(op: np.ndarray) -> SpectralDecomposition:
     """Full spectrum of a Hermitian matrix (checked to 1e-10) as one block with label 0."""
-    return SpectralDecomposition([(0, np.arange(np.shape(op)[0]), op)])
+    return stacked_spectra([(0, np.arange(len(op)), np.asarray(op)[None])])[0]
 
 
 def spectrum_blocked(op: np.ndarray, sectors: SectorMap) -> SpectralDecomposition:
@@ -110,12 +114,14 @@ def spectrum_blocked(op: np.ndarray, sectors: SectorMap) -> SpectralDecompositio
     leakage = np.max(np.abs(op[off_block])) if off_block.any() else 0.0
     if leakage > BLOCK_TOL:
         raise ValueError(f"matrix is not block diagonal under the sector map (leakage {leakage:.3e})")
-    return SpectralDecomposition((k, idx, op[np.ix_(idx, idx)]) for k, idx in sectors.sectors)
+    return stacked_spectra([(k, idx, op[np.ix_(idx, idx)][None]) for k, idx in sectors.sectors])[0]
 
 
 def analytic_spectrum_m3(omega: float, epsilon: float, eta: float) -> np.ndarray:
     """Closed-form 16-value spectrum for three peripheral spins, ascending."""
-    root = np.sqrt(3.0 * epsilon ** 2 + eta ** 2)
+    # an exact power-of-two scale: tiny couplings do not underflow, others keep every bit
+    scale = math.ldexp(1.0, math.frexp(max(abs(epsilon), abs(eta)))[1])
+    root = scale * math.sqrt(3.0 * (epsilon / scale) ** 2 + (eta / scale) ** 2)
     values = [
         eta - root - omega,
         -2.0 * omega,

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .operators import SpinStarParams, sector_hamiltonians
-from .spectra import SpectralDecomposition
+from .spectra import SpectralDecomposition, stacked_spectra
 
 # Boltzmann weights below this, relative to the ground level's 1, are dropped.
 WEIGHT_FLOOR = 1e-300
@@ -26,24 +26,27 @@ def check_temperature(t: float) -> None:
 
 
 def _as_state(rho: np.ndarray) -> np.ndarray:
-    rho = 0.5 * (rho + rho.conj().T)
-    return rho / rho.trace().real
+    rho = 0.5 * (rho + np.swapaxes(rho, -1, -2).conj())
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
 
 
-def _boltzmann(spec: SpectralDecomposition, kt: float) -> np.ndarray:
-    """Normalized Boltzmann weights of the lowest eigenvalues, down to WEIGHT_FLOOR.
+def _boltzmann(spec: SpectralDecomposition, kts) -> np.ndarray:
+    """Normalized Boltzmann weights of the lowest eigenvalues, one row per kt, down to WEIGHT_FLOOR.
 
     Each level (see level_energies) gets one weight, relative to the ground
     level, so degenerate levels stay symmetric; kt = 0 keeps the ground level.
+    A row is zero past its own floor and normalized over its kept weights.
     """
-    if kt == 0:
-        weights = (spec.gaps == 0).astype(float)
-    else:
-        # a gap/kt past the float range is weight 0, not a warning
-        with np.errstate(over="ignore"):
-            weights = np.exp(-spec.gaps / kt)
-    weights = weights[weights >= WEIGHT_FLOOR]
-    return weights / weights.sum()
+    kts = np.asarray(kts, dtype=float)[:, None]
+    cold = kts == 0
+    with np.errstate(over="ignore"):  # a gap/kt past the float range is weight 0, not a warning
+        weights = np.where(cold, spec.gaps == 0, np.exp(-spec.gaps / np.where(cold, 1.0, kts)))
+    kept = np.count_nonzero(weights >= WEIGHT_FLOOR, axis=1)
+    weights = weights[:, :kept.max()]
+    for row, count in zip(weights, kept):
+        row[count:] = 0.0
+        row /= row[:count].sum()
+    return weights
 
 
 def gibbs_state_from_spectrum(spec: SpectralDecomposition, t: float) -> np.ndarray:
@@ -53,7 +56,7 @@ def gibbs_state_from_spectrum(spec: SpectralDecomposition, t: float) -> np.ndarr
     level alone (the ground-manifold mixture).
     """
     check_temperature(t)
-    weights = _boltzmann(spec, t)
+    weights = _boltzmann(spec, [t])[0]
     vectors = spec.vectors(weights.size)
     return _as_state((vectors * weights) @ vectors.conj().T)
 
@@ -91,32 +94,35 @@ def partial_trace(rho: np.ndarray, keep, n_qubits: int) -> np.ndarray:
 
 def star_spectrum(params: SpinStarParams) -> SpectralDecomposition:
     """Spectrum of the spin-star Hamiltonian, diagonalized sector by sector."""
-    return SpectralDecomposition(sector_hamiltonians(params))
+    return stacked_spectra(sector_hamiltonians([params]))[0]
 
 
-def reduced_state(spec: SpectralDecomposition, params: SpinStarParams, t: float) -> np.ndarray:
-    """Gibbs state of the star at t, from star_spectrum(params), with the central spin traced out.
+def reduced_state(spec: SpectralDecomposition, params: SpinStarParams, temperatures) -> np.ndarray:
+    """Gibbs states at each t, from star_spectrum(params), with the central spin traced out.
 
-    Sector k's Gibbs block is G_k = V_k diag(w) V_k^T over its kept columns.
-    Its first C(m, k) states have the centre at 0, so peripheral sector j
-    of the reduced state is G_j[:s_j, :s_j] + G_{j+1}[s_{j+1}:, s_{j+1}:]
-    with s_j = C(m, j); no 2^(m+1)-dimensional matrix is formed.
+    Returns a stack of 2^m x 2^m states.  Sector k's Gibbs block G_k =
+    V_k diag(w) V_k^T over its kept columns is one stacked product over t.
+    Its first C(m, k) states have the centre at 0, so peripheral sector j of
+    the reduced state is G_j[:s_j, :s_j] + G_{j+1}[s_{j+1}:, s_{j+1}:] with
+    s_j = C(m, j); no 2^(m+1)-dimensional matrix is formed.
     """
-    check_temperature(t)
+    for t in temperatures:
+        check_temperature(t)
     m = params.m
     if [block[0] for block in spec.blocks] != list(range(m + 2)):
         raise ValueError(f"expected the excitation-sector spectrum of an m={m} star")
-    weights = _boltzmann(spec, t * params.omega)
-    grams = [(v * weights[ranks]) @ v.conj().T for _, _, v, ranks in spec.lowest(weights.size)]
-    rho = np.zeros((2 ** m, 2 ** m), dtype=grams[0].dtype)
+    weights = _boltzmann(spec, [t * params.omega for t in temperatures])
+    grams = [(v * weights[:, None, ranks]) @ v.conj().T
+             for _, _, v, ranks in spec.lowest(weights.shape[1])]
+    rho = np.zeros((len(temperatures), 2 ** m, 2 ** m), dtype=grams[0].dtype)
     for j in range(m + 1):
         low, high = math.comb(m, j), math.comb(m, j + 1)
         states = spec.blocks[j][1][:low]
-        rho[states[:, None], states] = grams[j][:low, :low] + grams[j + 1][high:, high:]
+        rho[:, states[:, None], states] = grams[j][:, :low, :low] + grams[j + 1][:, high:, high:]
     return _as_state(rho)
 
 
 def reduced_thermal_state(params: SpinStarParams, t: float) -> np.ndarray:
     """Thermal state of the full star with the central spin traced out."""
     check_temperature(t)
-    return reduced_state(star_spectrum(params), params, t)
+    return reduced_state(star_spectrum(params), params, [t])[0]

@@ -27,6 +27,7 @@ from spinstar import (
     spectrum_blocked,
     sweep_records,
 )
+from spinstar.thermal import star_spectrum
 
 from oracles import (
     bell_state,
@@ -215,7 +216,8 @@ def test_criterion_07_activated_cells_match_oracle():
     worst = 0.0
     for eps, eta in ACTIVATED_CELLS:
         assert vacuum_ground(1.0, eps, eta)
-        cold, warm = evaluate_cell(3, 1.0, eps, eta, (0.01, 0.1))
+        params = SpinStarParams(m=3, omega=1.0, epsilon=eps, eta=eta)
+        cold, warm = evaluate_cell(star_spectrum(params), params, (0.01, 0.1))
         brute_cold = brute_cut_negativities(eps, eta, 0.01)
         brute_warm = brute_cut_negativities(eps, eta, 0.1)
         worst = max(worst, float(np.max(np.abs(np.subtract(cold.per_cut, brute_cold)))),

@@ -54,13 +54,15 @@ def test_spectrum_m4_traceless(capsys):
 
 
 def test_spectrum_json_format(capsys):
-    code, out, _ = run_cli(capsys, "spectrum", "--m", "3", "--epsilon", "2",
-                           "--eta", "0.3", "--format", "json")
-    assert code == 0
-    payload = json.loads(out)
-    assert len(payload["eigenvalues"]) == 16
-    assert payload["max_abs_deviation"] < 1e-9
-    assert payload["sector_labels"][0] in range(5)
+    # the second call's couplings square below the float range
+    for omega, epsilon, eta in (("1", "2", "0.3"), ("1e-200", "1e-200", "5e-201")):
+        code, out, _ = run_cli(capsys, "spectrum", "--m", "3", "--omega", omega, "--epsilon",
+                               epsilon, "--eta", eta, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert len(payload["eigenvalues"]) == 16
+        assert payload["max_abs_deviation"] < 1e-9 * float(omega)
+        assert payload["sector_labels"][0] in range(5)
 
 
 def test_negativity_uncoupled_is_zero(capsys):

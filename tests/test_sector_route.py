@@ -39,17 +39,17 @@ def test_sector_route_matches_dense_reference(m):
         params = SpinStarParams(m=m, omega=1.0, epsilon=epsilon, eta=eta)
         h = build_hamiltonian(params)
         assert np.array_equal(h, brute_star_hamiltonian(m, 1.0, epsilon, eta))
-        blocks = list(sector_hamiltonians(params))
+        blocks = list(sector_hamiltonians([params]))
         assert [k for k, _, _ in blocks] == list(range(n + 1))
-        for (k, states, block), (_, idx) in zip(blocks, sector_map(n).sectors):
+        for (k, states, stack), (_, idx) in zip(blocks, sector_map(n).sectors):
             assert np.array_equal(states, idx)
-            assert np.array_equal(block, restrict_to_sector(h, idx))
+            assert np.array_equal(stack, restrict_to_sector(h, idx)[None])
 
         spec, dense = star_spectrum(params), spectrum_blocked(h, sector_map(n))
         assert np.array_equal(spec.eigenvalues, dense.eigenvalues)
         assert ground_manifold(spec).degeneracy == ground_manifold(dense).degeneracy
 
-        rho = reduced_state(spec, params, t)
+        [rho] = reduced_state(spec, params, [t])
         reference = partial_trace(gibbs_state_from_spectrum(dense, t), range(1, n), n)
         assert np.max(np.abs(rho - reference)) <= 1e-12
         for k in range(m):

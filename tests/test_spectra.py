@@ -29,13 +29,34 @@ def test_eigh_sigma_x():
     assert np.allclose(spec.eigenvalues, [-1.0, 1.0])
     minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
     plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    assert abs(abs(minus.conj() @ spec.eigenvectors[:, 0]) - 1.0) < 1e-12
-    assert abs(abs(plus.conj() @ spec.eigenvectors[:, 1]) - 1.0) < 1e-12
+    assert abs(abs(minus.conj() @ spec.vectors(spec.dim)[:, 0]) - 1.0) < 1e-12
+    assert abs(abs(plus.conj() @ spec.vectors(spec.dim)[:, 1]) - 1.0) < 1e-12
 
 
 def test_eigh_rejects_non_hermitian():
     with pytest.raises(ValueError):
         eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_stacked_hermiticity_check_covers_every_cell(monkeypatch, capsys):
+    from spinstar import cli, operators
+    from spinstar.spectra import stacked_spectra
+
+    sym = np.array([[1.0, 0.5], [0.5, 2.0]])
+    skewed = sym + np.array([[0.0, 1e-9], [0.0, 0.0]])
+    assert len(stacked_spectra([(0, np.arange(2), np.stack([sym, sym]))])) == 2
+    with pytest.raises(ValueError, match="not Hermitian"):
+        stacked_spectra([(0, np.arange(2), np.stack([sym, skewed, sym]))])
+
+    # one epsilon hop of sector 1 made one-way: only the epsilon != 0 cell is not Hermitian
+    terms = list(operators.sector_terms(3))
+    k, states, flat, central, ring = terms[1]
+    terms[1] = (k, states, flat, np.where(np.arange(central.size) == 0, 2.0, central), ring)
+    monkeypatch.setattr(operators, "sector_terms", lambda m: terms)
+    argv = ["sweep", "--m", "3", "--eta-range", "0.5:0.5:1", "--temps", "0.1", "--epsilon-range"]
+    assert cli.main([*argv, "0:0:1"]) == 0
+    assert cli.main([*argv, "0:1:2"]) == 2
+    assert "not Hermitian" in capsys.readouterr().err
 
 
 def test_eigh_orthonormality_and_reconstruction():
@@ -44,7 +65,7 @@ def test_eigh_orthonormality_and_reconstruction():
         mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         mat = mat + mat.conj().T
         spec = eigh(mat)
-        v = spec.eigenvectors
+        v = spec.vectors(spec.dim)
         assert np.max(np.abs(v.conj().T @ v - np.eye(dim))) < 1e-10
         rebuilt = (v * spec.eigenvalues) @ v.conj().T
         assert np.max(np.abs(mat - rebuilt)) < 1e-10 * np.max(np.abs(mat))
@@ -122,13 +143,13 @@ def test_blocked_output_is_reproducible():
     b = spectrum_blocked(h, sectors)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert np.array_equal(a.sector_labels, b.sector_labels)
-    assert np.array_equal(a.eigenvectors, b.eigenvectors)
+    assert np.array_equal(a.vectors(a.dim), b.vectors(b.dim))
 
 
 def test_blocked_eigenvectors_reconstruct_operator():
     h = star(4, 1.0, 1.3, 0.9)
     spec = spectrum_blocked(h, sector_map(5))
-    v = spec.eigenvectors
+    v = spec.vectors(spec.dim)
     assert np.max(np.abs(v.conj().T @ v - np.eye(32))) < 1e-10
     rebuilt = (v * spec.eigenvalues) @ v.conj().T
     assert np.max(np.abs(h - rebuilt)) < 1e-10 * np.max(np.abs(h))

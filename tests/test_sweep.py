@@ -12,6 +12,7 @@ from spinstar import (
     sweep_records,
 )
 from spinstar.operators import MAX_M
+from spinstar import sweep
 from spinstar.sweep import MAX_SWEEP_RECORDS, open_output, write_records
 
 HEADER_M3 = ("epsilon,eta,t,neg_multi,neg_cut_1,neg_cut_2,neg_cut_3,"
@@ -95,6 +96,21 @@ def test_repeated_runs_are_byte_identical(tmp_path):
             write_records(sweep_records(grid), stream)
         texts.append(path.read_bytes())
     assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_output_does_not_depend_on_the_stack_budget(monkeypatch, m):
+    # t = 0, t = 1e-15 and the degenerate epsilon = eta = 1 cells included
+    grid = small_grid(m=m, epsilon_axis=(0.0, 2.0, 5), eta_axis=(0.0, 2.0, 3),
+                      temperatures=(0.0, 1e-15, 0.3, 2.0))
+    texts, counts = [], []
+    for budget in (1, sweep.MAX_STACK_BYTES, 10 ** 9):
+        monkeypatch.setattr(sweep, "MAX_STACK_BYTES", budget)
+        texts.append("\n".join(csv_lines(sweep_records(grid))))
+        counts.append(len(sweep.stacks(range(15), m)))
+    assert counts[0] == 15 and counts[2] == 1  # one cell per stack, then the whole grid in one
+    assert texts[0] == texts[1] == texts[2]
+    assert any(r.degenerate_cell and r.epsilon == r.eta == 1.0 for r in sweep_records(grid))
 
 
 def test_csv_schema_matches_m():

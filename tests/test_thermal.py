@@ -132,7 +132,8 @@ def test_cold_limit_of_degenerate_crossing_keeps_cut_symmetry():
 def test_star_pipeline_is_real_float64(m):
     params = SpinStarParams(m=m, omega=1.0, epsilon=1.3, eta=0.7)
     assert build_hamiltonian(params).dtype == np.float64
-    assert star_spectrum(params).eigenvectors.dtype == np.float64
+    spec = star_spectrum(params)
+    assert spec.vectors(spec.dim).dtype == np.float64
     assert reduced_thermal_state(params, 0.1).dtype == np.float64
 
 
