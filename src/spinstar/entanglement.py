@@ -9,6 +9,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .operators import qubit_subset
+
 # Values in [NEGATIVITY_FLOOR, ZERO_SNAP] are floating-point noise around an
 # exact zero and are reported as 0; anything below the floor means the input
 # was not a valid state and must surface as an error, not be clamped away.
@@ -28,26 +30,6 @@ class NegativityReport:
     multipartite: float
 
 
-def _infer_n_qubits(rho: np.ndarray) -> int:
-    dim = rho.shape[0]
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {rho.shape}")
-    n = dim.bit_length() - 1
-    if 2 ** n != dim:
-        raise ValueError(f"dimension {dim} is not a power of two")
-    return n
-
-
-@lru_cache(maxsize=256)
-def _part(part_a: tuple, n_qubits: int) -> tuple[int, ...]:
-    part = tuple(sorted(set(int(q) for q in part_a)))
-    if not part:
-        raise ValueError("part_a must name at least one qubit")
-    if part[0] < 0 or part[-1] >= n_qubits:
-        raise ValueError(f"part_a indices {list(part)} out of range for {n_qubits} qubits")
-    return part
-
-
 def partial_transpose(rho: np.ndarray, part_a, n_qubits: int) -> np.ndarray:
     """Transpose of the part_a tensor factors of rho.
 
@@ -58,7 +40,7 @@ def partial_transpose(rho: np.ndarray, part_a, n_qubits: int) -> np.ndarray:
     dim = 2 ** n_qubits
     if rho.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix, got {rho.shape}")
-    part = _part(tuple(part_a), n_qubits)
+    part = qubit_subset(part_a, n_qubits)
     tensor = rho.reshape((2,) * (2 * n_qubits))
     perm = list(range(2 * n_qubits))
     for q in part:
@@ -93,21 +75,33 @@ def _charge_blocks(n_qubits: int, part: tuple[int, ...]):
     return index, tuple((slice(end - flat.size, end), flat.shape) for flat, end in zip(groups, ends))
 
 
+@lru_cache(maxsize=64, typed=True)
+def _cut(shape: tuple, *part_a):
+    """(n_qubits, part, *_charge_blocks) of a square power-of-two shape cut by a proper subset part_a.
+
+    typed stops a float index from hitting a cached int's entry; equal subsets share _charge_blocks.
+    """
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0].bit_count() != 1:
+        raise ValueError(f"expected a square matrix of power-of-two dimension, got shape {shape}")
+    n_qubits = shape[0].bit_length() - 1
+    part = qubit_subset(part_a, n_qubits)
+    if len(part) == n_qubits:
+        raise ValueError("part_a must be a proper subset of the qubits")
+    return (n_qubits, part, *_charge_blocks(n_qubits, part))
+
+
 def negativity(rho: np.ndarray, part_a) -> float:
     """Sum of |eigenvalues| of the partial transpose, minus one.
 
     Zero for states that stay positive under partial transposition.  Noise
-    around zero is snapped to exactly 0; a value below -1e-9 signals an
-    invalid input state and raises NumericalInvariantError.  Each charge
-    block (see _charge_blocks) is diagonalized alone when an exact count
-    puts every nonzero entry of rho on them; else the whole transpose is one.
+    around zero is snapped to exactly 0.  A value below -1e-9, or a trace
+    off 1 by more than 1e-9 (or NaN), signals an invalid input state and
+    raises NumericalInvariantError.  Each charge block (see
+    _charge_blocks) is diagonalized alone when an exact count puts every
+    nonzero entry of rho on them; else the whole transpose is one.
     """
     rho = np.asarray(rho)
-    n_qubits = _infer_n_qubits(rho)
-    part = _part(tuple(part_a), n_qubits)
-    if len(part) == n_qubits:
-        raise ValueError("part_a must be a proper subset of the qubits")
-    index, layout = _charge_blocks(n_qubits, part)
+    n_qubits, part, index, layout = _cut(rho.shape, *part_a)
     gathered = rho.take(index)
     blocks = [gathered[span].reshape(shape) for span, shape in layout]
     if np.count_nonzero(gathered) != np.count_nonzero(rho):
@@ -118,6 +112,9 @@ def negativity(rho: np.ndarray, part_a) -> float:
     if raw < NEGATIVITY_FLOOR:
         raise NumericalInvariantError(
             f"negativity {raw:.3e} below the {NEGATIVITY_FLOOR} floor; input is not a valid state")
+    trace = sum(rho.diagonal().real.tolist())  # the eigenvalues' sum; the floor misses an excess
+    if not abs(trace - 1.0) <= -NEGATIVITY_FLOOR:  # NaN fails too
+        raise NumericalInvariantError(f"trace {trace:.12g} is not 1; input is not a valid state")
     if raw <= ZERO_SNAP:
         return 0.0
     return raw

@@ -10,6 +10,7 @@ energies in one common unit.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -60,6 +61,17 @@ class SpinStarParams:
     @property
     def n_qubits(self) -> int:
         return self.m + 1
+
+
+def qubit_subset(qubits, n_qubits: int) -> tuple[int, ...]:
+    """The distinct indices in qubits, sorted; ValueError unless they are integers in 0..n_qubits-1."""
+    try:
+        subset = tuple(sorted(set(map(operator.index, qubits))))
+    except TypeError:
+        raise ValueError(f"expected integer qubit indices, got {qubits!r}") from None
+    if not subset or subset[0] < 0 or subset[-1] >= n_qubits:
+        raise ValueError(f"expected qubit indices in 0..{n_qubits - 1}, got {qubits!r}")
+    return subset
 
 
 @dataclass(frozen=True)

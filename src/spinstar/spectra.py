@@ -15,29 +15,17 @@ BLOCK_TOL = 1e-10
 
 
 class SpectralDecomposition:
-    """Spectrum of a Hermitian operator from a list of (label, states, eigenvalues, eigenvectors).
+    """Spectrum of a Hermitian operator, as ordered by stacked_spectra.
 
-    blocks holds (label, states, eigenvectors over states, ranks of their
-    eigenvalues in eigenvalues), which ascend with exact ties broken by
-    label, then block order.  sector_labels holds each eigenvalue's block
-    label; gaps[i] is the level energy of eigenvalue i minus the lowest.
+    eigenvalues ascend, exact ties in block order; sector_labels holds each
+    one's block label and gaps its level energy minus the lowest.  blocks holds
+    (label, states, eigenvectors over states, ranks of their eigenvalues).
     """
 
-    def __init__(self, blocks):
-        values = np.concatenate([w for _, _, w, _ in blocks])
-        if values.size == 0:
-            raise ValueError("empty spectral decomposition")
-        labels = np.concatenate([np.full(w.size, k) for k, _, w, _ in blocks])
-        order = np.lexsort((np.arange(values.size), labels, values))
-        ranks = np.empty_like(order)
-        ranks[order] = np.arange(order.size)
-        self.dim = int(values.size)
-        self.eigenvalues = values[order]
-        self.sector_labels = labels[order]
-        self.gaps = level_energies(self.eigenvalues) - self.eigenvalues[0]
-        ends = np.cumsum([w.size for _, _, w, _ in blocks])
-        self.blocks = [(k, states, v, ranks[end - w.size:end])
-                       for (k, states, w, v), end in zip(blocks, ends)]
+    def __init__(self, eigenvalues, sector_labels, gaps, blocks):
+        self.dim = eigenvalues.size
+        self.eigenvalues, self.sector_labels = eigenvalues, sector_labels
+        self.gaps, self.blocks = gaps, blocks
 
     def lowest(self, count: int):
         """Yield (label, states, eigenvectors, ranks) per block, cut to the count lowest eigenvalues."""
@@ -63,12 +51,12 @@ class GroundManifold:
     basis: np.ndarray
 
 
-def degeneracy_tolerance(eigenvalues: np.ndarray) -> float:
-    """Band for grouping numerically degenerate ascending eigenvalues: 1e-9 of the largest |value|.
+def degeneracy_tolerance(eigenvalues: np.ndarray):
+    """Band for grouping degenerate eigenvalues, ascending along the last axis: 1e-9 of the largest |value|.
 
     It scales with H, so a change of energy unit groups the same levels.
     """
-    return 1e-9 * max(abs(eigenvalues[0]), abs(eigenvalues[-1]))
+    return 1e-9 * np.maximum(abs(eigenvalues[..., 0]), abs(eigenvalues[..., -1]))
 
 
 def _hermitian(op: np.ndarray) -> np.ndarray:
@@ -83,11 +71,21 @@ def _hermitian(op: np.ndarray) -> np.ndarray:
 def stacked_spectra(stacks) -> list[SpectralDecomposition]:
     """One SpectralDecomposition per cell from (label, states, (cells, d, d) stack) blocks.
 
-    Each stack is checked by _hermitian and solved by one eigh call.
+    Each stack is checked by _hermitian and solved by one eigh call, then sorted and leveled at once.
     """
     solved = [(k, states, *np.linalg.eigh(_hermitian(stack))) for k, states, stack in stacks]
-    return [SpectralDecomposition([(k, states, w[i], v[i]) for k, states, w, v in solved])
-            for i in range(len(solved[0][2]))]
+    values = np.concatenate([w for _, _, w, _ in solved], axis=-1)
+    if values.shape[-1] == 0:
+        raise ValueError("empty spectral decomposition")
+    order = values.argsort(axis=-1, kind="stable")  # exact ties stay in block order
+    sizes = [w.shape[-1] for _, _, w, _ in solved]
+    ranks = np.split(order.argsort(axis=-1), np.cumsum(sizes)[:-1], axis=-1)
+    values = np.take_along_axis(values, order, axis=-1)
+    labels = np.repeat([k for k, _, _, _ in solved], sizes)[order]
+    gaps = level_energies(values) - values[:, :1]
+    return [SpectralDecomposition(values[i], labels[i], gaps[i],
+                                  [(k, states, v[i], r[i]) for (k, states, _, v), r in zip(solved, ranks)])
+            for i in range(len(values))]
 
 
 def eigh(op: np.ndarray) -> SpectralDecomposition:
@@ -164,14 +162,15 @@ def analytic_ground_state_m3(epsilon: float, eta: float) -> np.ndarray:
 
 
 def level_energies(eigenvalues: np.ndarray) -> np.ndarray:
-    """Each ascending eigenvalue replaced by the lowest eigenvalue of its level.
+    """Each eigenvalue, ascending along the last axis, replaced by the lowest of its level.
 
     A level is a run of eigenvalues whose neighbouring gaps are all at most
     degeneracy_tolerance(eigenvalues), so floating-point splittings inside
     a degenerate level never separate it.
     """
-    opens = np.concatenate(([True], np.diff(eigenvalues) > degeneracy_tolerance(eigenvalues)))
-    return eigenvalues[opens][np.cumsum(opens) - 1]
+    opens = np.diff(eigenvalues, axis=-1, prepend=-np.inf) > degeneracy_tolerance(eigenvalues)[..., None]
+    first = np.maximum.accumulate(np.where(opens, np.arange(eigenvalues.shape[-1]), 0), axis=-1)
+    return np.take_along_axis(eigenvalues, first, axis=-1)
 
 
 def ground_manifold(spec: SpectralDecomposition) -> GroundManifold:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .operators import SpinStarParams, sector_hamiltonians
+from .operators import SpinStarParams, qubit_subset, sector_hamiltonians
 from .spectra import SpectralDecomposition, stacked_spectra
 
 # Boltzmann weights below this, relative to the ground level's 1, are dropped.
@@ -31,22 +31,18 @@ def _as_state(rho: np.ndarray) -> np.ndarray:
 
 
 def _boltzmann(spec: SpectralDecomposition, kts) -> np.ndarray:
-    """Normalized Boltzmann weights of the lowest eigenvalues, one row per kt, down to WEIGHT_FLOOR.
+    """Boltzmann weights of the lowest eigenvalues, one row per kt, relative to the ground level's 1.
 
-    Each level (see level_energies) gets one weight, relative to the ground
-    level, so degenerate levels stay symmetric; kt = 0 keeps the ground level.
-    A row is zero past its own floor and normalized over its kept weights.
+    Each level (see level_energies) gets one weight, so degenerate levels stay
+    symmetric; kt = 0 keeps the ground level.  Weights below WEIGHT_FLOOR are 0
+    and rows are cut to the longest kept prefix; _as_state normalizes by the trace.
     """
     kts = np.asarray(kts, dtype=float)[:, None]
     cold = kts == 0
     with np.errstate(over="ignore"):  # a gap/kt past the float range is weight 0, not a warning
         weights = np.where(cold, spec.gaps == 0, np.exp(-spec.gaps / np.where(cold, 1.0, kts)))
-    kept = np.count_nonzero(weights >= WEIGHT_FLOOR, axis=1)
-    weights = weights[:, :kept.max()]
-    for row, count in zip(weights, kept):
-        row[count:] = 0.0
-        row /= row[:count].sum()
-    return weights
+    weights[weights < WEIGHT_FLOOR] = 0.0
+    return weights[:, :np.count_nonzero(weights.any(axis=0))]
 
 
 def gibbs_state_from_spectrum(spec: SpectralDecomposition, t: float) -> np.ndarray:
@@ -80,11 +76,7 @@ def partial_trace(rho: np.ndarray, keep, n_qubits: int) -> np.ndarray:
     dim = 2 ** n_qubits
     if rho.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix, got {rho.shape}")
-    kept = sorted(set(int(q) for q in keep))
-    if not kept:
-        raise ValueError("keep must name at least one qubit")
-    if kept[0] < 0 or kept[-1] >= n_qubits:
-        raise ValueError(f"keep indices {kept} out of range for {n_qubits} qubits")
+    kept = list(qubit_subset(keep, n_qubits))
     # row bits then column bits, most significant first, kept qubits moved ahead
     axes = kept + [q for q in range(n_qubits) if q not in kept]
     tensor = rho.reshape((2,) * (2 * n_qubits)).transpose(axes + [n_qubits + q for q in axes])

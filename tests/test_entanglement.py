@@ -74,6 +74,8 @@ def test_pt_input_errors():
         partial_transpose(rho, (3,), 3)
     with pytest.raises(ValueError):
         partial_transpose(np.eye(4) / 4, (0,), 3)
+    with pytest.raises(ValueError):
+        partial_transpose(rho, (1.7,), 3)
 
 
 def test_negativity_bell_state_is_one():
@@ -105,6 +107,11 @@ def test_negativity_rejects_improper_partition():
         negativity(rho, (0, 1))
     with pytest.raises(ValueError):
         negativity(np.eye(3) / 3, (0,))
+    # an integral float is not an index either, even once the int cut is cached
+    assert negativity(np.eye(8) / 8, (1,)) == negativity(np.eye(8) / 8, [np.int64(1)]) == 0.0
+    for part in ((1.7,), (1.0,)):
+        with pytest.raises(ValueError):
+            negativity(np.eye(8) / 8, part)
 
 
 def test_negativity_floor_violation_raises():
@@ -112,6 +119,11 @@ def test_negativity_floor_violation_raises():
     rho = np.eye(4, dtype=complex) / 4 * (1.0 - 2e-9)
     with pytest.raises(NumericalInvariantError):
         negativity(rho, (0,))
+    # over-normalized input stays above the floor; its trace gives it away
+    with pytest.raises(NumericalInvariantError):
+        negativity(2 * np.eye(4) / 4, (0,))
+    with pytest.raises(NumericalInvariantError):
+        multipartite_negativity(3 * np.eye(8) / 8, 3)
 
 
 def test_multipartite_ghz():

@@ -20,6 +20,7 @@ from spinstar import (
     spectrum_blocked,
 )
 from spinstar.operators import sector_hamiltonians
+from spinstar.spectra import level_energies, stacked_spectra
 from spinstar.thermal import reduced_state, star_spectrum
 
 from oracles import brute_partial_transpose, brute_star_hamiltonian, restrict_to_sector
@@ -55,3 +56,21 @@ def test_sector_route_matches_dense_reference(m):
         for k in range(m):
             oracle = np.sum(np.abs(np.linalg.eigvalsh(brute_partial_transpose(rho, (k,), m)))) - 1
             assert abs(negativity(rho, (k,)) - oracle) <= 1e-12
+
+
+def test_stack_orders_each_cell_as_alone():
+    # the six-fold crossing, plus cells with exact ties between sectors
+    couplings = [(1.0, 1.0), (1.0, 0.5), (1.0, 2.0), (0.0, 1.0), (2.0, 0.5), (-0.4, -1.7), (0.0, 0.0)]
+    cells = [SpinStarParams(m=3, omega=1.0, epsilon=eps, eta=eta) for eps, eta in couplings]
+    for spec, params in zip(stacked_spectra(sector_hamiltonians(cells)), cells):
+        alone = star_spectrum(params)
+        for name in ("eigenvalues", "sector_labels", "gaps"):
+            assert np.array_equal(getattr(spec, name), getattr(alone, name))
+        assert np.array_equal(spec.vectors(spec.dim), alone.vectors(alone.dim))
+        # exact ties between sectors stay in label order
+        assert np.all(np.diff(spec.sector_labels)[np.diff(spec.eigenvalues) == 0] >= 0)
+    assert ground_manifold(star_spectrum(cells[0])).degeneracy == 6
+    # the level rule on a stack gives each row what it gives that row alone
+    stack = np.array([star_spectrum(params).eigenvalues for params in cells])
+    for row, values in zip(level_energies(stack), stack):
+        assert np.array_equal(row, level_energies(values))

@@ -180,6 +180,9 @@ def test_partial_trace_input_errors():
         partial_trace(rho, (3,), 3)
     with pytest.raises(ValueError):
         partial_trace(np.eye(4) / 4, (0,), 3)
+    with pytest.raises(ValueError):
+        partial_trace(rho, (0.9, 2.2), 3)
+    assert partial_trace(rho, range(1, 3), 3).shape == partial_trace(rho, np.arange(2), 3).shape == (4, 4)
 
 
 def test_reduced_uncoupled_spins_thermalize_independently():
