@@ -70,7 +70,7 @@ def _charge_blocks(n_qubits: int, part: tuple[int, ...]):
         # <ab| rho^T_A |a'b'> = <a'b| rho |ab'>: swap the part bits of row and column
         groups.append(((r & ~mask) | (c & mask)) * dim + ((c & ~mask) | (r & mask)))
     ends = np.cumsum([flat.size for flat in groups])
-    index = np.concatenate([flat.ravel() for flat in groups])
+    index = np.concatenate([flat.ravel() for flat in groups], dtype=np.int32)  # 4^m < 2^31
     index.setflags(write=False)
     return index, tuple((slice(end - flat.size, end), flat.shape) for flat, end in zip(groups, ends))
 

@@ -16,8 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-# A whole negativity --t 0.1 process takes 0.26 s and 42 MiB at m=9, 0.49 s and
-# 71 MiB at m=10, and 1.3 s and 182 MiB at m=11 on a 2-vCPU machine; the largest
+# A whole negativity --t 0.1 process takes 0.30 s and 39 MiB at m=9, 0.48 s and
+# 61 MiB at m=10, and 1.4 s and 144 MiB at m=11 on a 2-vCPU machine; the largest
 # excitation-sector block of H has C(m+1, (m+1)//2) rows.
 MAX_M = 11
 
@@ -25,6 +25,11 @@ MAX_M = 11
 # above this: the m=3 closed forms square energies and the Gibbs weights take
 # their differences, so every step stays far from the float64 range.
 MAX_ENERGY = 1e150
+
+# Sectors of at least this dimension are solved in ring-translation blocks.  One
+# sector's build and solve, single-threaded, direct against blocks: 0.41 against
+# 0.48 ms at d=55, 0.67 against 0.60 ms at d=66, 0.75 against 0.53 ms at d=70.
+TRANSLATION_MIN_DIM = 60
 
 
 @dataclass(frozen=True)
@@ -146,17 +151,87 @@ def sector_terms(m: int) -> tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray,
     return tuple(out)
 
 
+@lru_cache(maxsize=64)
+def translation_blocks(m: int, k: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]:
+    """(columns, coefficients, E, R) per real ring-translation block of sector k; cached, read-only.
+
+    The ring rotation commutes with H and splits the sector into orbits.  An
+    orbit of period L takes momentum kappa when kappa*L = 0 (mod m): kappa = 0
+    and m/2 give it one cosine column, each +-kappa pair a cosine and a sine
+    (Sandvik, arXiv:1101.3281).  Row s of a block's basis Q holds
+    coefficients[s] at columns[s]; E = Q^T E_k Q and R = Q^T R_k Q.  Raises
+    AssertionError unless the basis is orthonormal and E_k Q = Q E, R_k Q = Q R, to 1e-12.
+    """
+    _, states, flat, central, ring = sector_terms(m)[k]
+    d, periphery, shifts = states.size, (1 << m) - 1, np.arange(m)[:, None]
+    turns = (states & ~periphery) | ((states & periphery) >> shifts | states << (m - shifts)) & periphery
+    period = np.vstack([turns[1:] == states, np.ones(d, bool)]).argmax(axis=0) + 1
+    orbit = np.unique(turns.min(axis=0), return_inverse=True)[1].ravel()
+    position = -turns.argmin(axis=0) % period  # the state is its orbit's least one turned this far
+    blocks = []
+    for kappa in range(m // 2 + 1):
+        allowed = kappa * period % m == 0
+        p = 1 if 2 * kappa % m == 0 else 2  # kappa = 0 or m/2: cosines alone
+        rank = np.cumsum(np.bincount(orbit, allowed) > 0) - 1
+        angle = 2 * np.pi * (kappa * position % m) / m
+        columns = np.where(allowed[:, None], rank[orbit, None] + [0, rank[-1] + 1], 0)
+        phases = np.stack([np.cos(angle), np.sin(angle)], axis=1) * np.sqrt(allowed * p / period)[:, None]
+        if rank[-1] >= 0:
+            blocks.append((columns[:, :p], phases[:, :p]))
+    sizes = [columns.max() + 1 for columns, _ in blocks]
+    index = np.concatenate([c + offset for (c, _), offset in zip(blocks, np.cumsum([0] + sizes))], axis=1)
+    weight = np.concatenate([w for _, w in blocks], axis=1)
+    gram = np.bincount((index[:, :, None] * d + index[:, None, :]).ravel(),
+                       (weight[:, :, None] * weight[:, None, :]).ravel(), d * d)
+    gram[::d + 1] -= 1.0
+    if sum(sizes) != d or np.max(np.abs(gram)) > 1e-12:
+        raise AssertionError(f"the translation basis of sector {k} is not orthonormal")
+    row, col = np.divmod(flat, d)
+    out = []
+    for (columns, coefficients), b in zip(blocks, sizes):
+        basis = np.zeros((d, b))
+        np.put_along_axis(basis, columns, coefficients, axis=1)
+        # X Q from the hops (row, col) of X = E_k, R_k: Q (Q^T X Q) = X Q when X keeps Q's span
+        targets = (row[:, None] * b + columns[col]).ravel()
+        moved = np.stack([np.bincount(targets, (x[:, None] * coefficients[col]).ravel(), d * b)
+                          for x in (central, ring)], dtype=float).reshape(2, d, b)
+        terms = basis.T @ moved
+        terms = 0.5 * (terms + terms.swapaxes(1, 2))
+        if np.max(np.abs(moved - basis @ terms)) > 1e-12:
+            raise AssertionError(f"translation block of sector {k} does not reconstruct its terms")
+        for array in (columns, coefficients, terms):
+            array.setflags(write=False)
+        out.append((columns, coefficients, *terms))
+    return tuple(out)
+
+
+def _stack(cells, couplings, k: int, size: int, flat, central, ring) -> np.ndarray:
+    """Stack of omega*(k - (m+1)/2)*I + epsilon_i*central + eta_i*ring (raveled, at flat) per cell."""
+    epsilon, eta = couplings  # each (cells, 1, 1)
+    blocks = np.zeros((len(cells), size * size))
+    blocks[:, flat] = epsilon * central.ravel() + eta * ring.ravel()
+    blocks[:, ::size + 1] += cells[0].omega * (k - (cells[0].m + 1) / 2)
+    return blocks.reshape(-1, size, size)
+
+
 def sector_hamiltonians(cells):
     """Yield (k, states, blocks) for k = 0..m+1, stacked over cells sharing m and omega.
 
     blocks[i] = omega*(k - (m+1)/2)*I + epsilon_i*E_k + eta_i*R_k for the
     i-th SpinStarParams of cells; build_hamiltonian places a one-cell stack.
     """
-    m, omega = cells[0].m, cells[0].omega
-    epsilon, eta = np.array([[p.epsilon, p.eta] for p in cells]).T[:, :, None]
-    half = (m + 1) / 2
-    for k, states, flat, central, ring in sector_terms(m):
-        blocks = np.zeros((len(cells), states.size ** 2))
-        blocks[:, ::states.size + 1] = omega * (k - half)
-        blocks[:, flat] = epsilon * central + eta * ring
-        yield k, states, blocks.reshape(-1, states.size, states.size)
+    couplings = np.array([[p.epsilon, p.eta] for p in cells]).T[:, :, None]
+    for k, states, *terms in sector_terms(cells[0].m):
+        yield k, states, _stack(cells, couplings, k, states.size, *terms)
+
+
+def symmetry_hamiltonians(cells):
+    """sector_hamiltonians for stacked_spectra, but a sector of TRANSLATION_MIN_DIM states or more
+    comes as a tuple of (columns, coefficients, blocks) parts, one per translation_blocks block."""
+    couplings = np.array([[p.epsilon, p.eta] for p in cells]).T[:, :, None]
+    for k, states, *terms in sector_terms(cells[0].m):
+        if states.size < TRANSLATION_MIN_DIM:
+            yield k, states, _stack(cells, couplings, k, states.size, *terms)
+        else:
+            yield k, states, tuple((q, c, _stack(cells, couplings, k, len(e), slice(None), e, r))
+                                   for q, c, e, r in translation_blocks(cells[0].m, k))

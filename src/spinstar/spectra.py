@@ -68,12 +68,29 @@ def _hermitian(op: np.ndarray) -> np.ndarray:
     return op
 
 
-def stacked_spectra(stacks) -> list[SpectralDecomposition]:
-    """One SpectralDecomposition per cell from (label, states, (cells, d, d) stack) blocks.
+def _eigh(stack):
+    """Ascending eigenpairs of a (cells, d, d) stack or of a sector's translation-block parts."""
+    if isinstance(stack, np.ndarray):
+        return np.linalg.eigh(_hermitian(stack))
+    values, rows = [], []
+    for columns, coefficients, blocks in stack:
+        w, u = np.linalg.eigh(_hermitian(blocks))
+        u = u.swapaxes(-1, -2)  # eigenvectors as rows: Q u gathers the basis's <= 2 entries per state
+        values.append(w)
+        rows.append(sum(u[..., i] * c for i, c in zip(columns.T, coefficients.T)))
+    values = np.concatenate(values, axis=-1)
+    order = values.argsort(axis=-1)
+    rows = np.concatenate(rows, axis=-2)[np.arange(len(order))[:, None], order]
+    return np.take_along_axis(values, order, axis=-1), rows.swapaxes(-1, -2)
 
-    Each stack is checked by _hermitian and solved by one eigh call, then sorted and leveled at once.
+
+def stacked_spectra(stacks) -> list[SpectralDecomposition]:
+    """One SpectralDecomposition per cell from the (label, states, stack) blocks of symmetry_hamiltonians.
+
+    Each stack, or part of one, is checked by _hermitian and solved by one eigh call; the
+    spectra are then sorted and leveled at once.
     """
-    solved = [(k, states, *np.linalg.eigh(_hermitian(stack))) for k, states, stack in stacks]
+    solved = [(k, states, *_eigh(stack)) for k, states, stack in stacks]
     values = np.concatenate([w for _, _, w, _ in solved], axis=-1)
     if values.shape[-1] == 0:
         raise ValueError("empty spectral decomposition")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import multipartite_negativity
-from .operators import SpinStarParams, sector_hamiltonians
+from .operators import SpinStarParams, symmetry_hamiltonians
 from .spectra import SpectralDecomposition, ground_manifold, stacked_spectra
 from .thermal import check_temperature, reduced_state, star_spectrum
 
@@ -125,7 +125,7 @@ def sweep_records(grid: SweepGrid) -> list[SweepRecord]:
     cells = [SpinStarParams(grid.m, grid.omega, eps, eta)
              for eta in axis_values(grid.eta_axis) for eps in eps_values]
     per_cell = [evaluate_cell(spec, params, temps) for chunk in stacks(cells, grid.m)
-                for spec, params in zip(stacked_spectra(sector_hamiltonians(chunk)), chunk)]
+                for spec, params in zip(stacked_spectra(symmetry_hamiltonians(chunk)), chunk)]
     return [cell[t_index] for t_index in range(len(temps)) for cell in per_cell]
 
 

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .operators import SpinStarParams, qubit_subset, sector_hamiltonians
+from .operators import SpinStarParams, qubit_subset, symmetry_hamiltonians
 from .spectra import SpectralDecomposition, stacked_spectra
 
 # Boltzmann weights below this, relative to the ground level's 1, are dropped.
@@ -35,7 +35,7 @@ def _boltzmann(spec: SpectralDecomposition, kts) -> np.ndarray:
 
     Each level (see level_energies) gets one weight, so degenerate levels stay
     symmetric; kt = 0 keeps the ground level.  Weights below WEIGHT_FLOOR are 0
-    and rows are cut to the longest kept prefix; _as_state normalizes by the trace.
+    and rows are cut to the longest kept prefix; the caller normalizes by the trace.
     """
     kts = np.asarray(kts, dtype=float)[:, None]
     cold = kts == 0
@@ -86,17 +86,16 @@ def partial_trace(rho: np.ndarray, keep, n_qubits: int) -> np.ndarray:
 
 def star_spectrum(params: SpinStarParams) -> SpectralDecomposition:
     """Spectrum of the spin-star Hamiltonian, diagonalized sector by sector."""
-    return stacked_spectra(sector_hamiltonians([params]))[0]
+    return stacked_spectra(symmetry_hamiltonians([params]))[0]
 
 
 def reduced_state(spec: SpectralDecomposition, params: SpinStarParams, temperatures) -> np.ndarray:
     """Gibbs states at each t, from star_spectrum(params), with the central spin traced out.
 
-    Returns a stack of 2^m x 2^m states.  Sector k's Gibbs block G_k =
-    V_k diag(w) V_k^T over its kept columns is one stacked product over t.
-    Its first C(m, k) states have the centre at 0, so peripheral sector j of
-    the reduced state is G_j[:s_j, :s_j] + G_{j+1}[s_{j+1}:, s_{j+1}:] with
-    s_j = C(m, j); no 2^(m+1)-dimensional matrix is formed.
+    Returns a stack of 2^m x 2^m states.  Of sector k's Gibbs block V_k diag(w) V_k^T only the
+    centre-0 part (its first C(m, k) states) and the centre-1 part are formed, one stacked
+    product over t each; peripheral block j, the centre-0 part of sector j plus the centre-1
+    part of sector j+1, is symmetrized and divided by the trace.  No 2^(m+1) matrix is formed.
     """
     for t in temperatures:
         check_temperature(t)
@@ -104,14 +103,16 @@ def reduced_state(spec: SpectralDecomposition, params: SpinStarParams, temperatu
     if [block[0] for block in spec.blocks] != list(range(m + 2)):
         raise ValueError(f"expected the excitation-sector spectrum of an m={m} star")
     weights = _boltzmann(spec, [t * params.omega for t in temperatures])
-    grams = [(v * weights[:, None, ranks]) @ v.conj().T
-             for _, _, v, ranks in spec.lowest(weights.shape[1])]
-    rho = np.zeros((len(temperatures), 2 ** m, 2 ** m), dtype=grams[0].dtype)
+    sectors = list(spec.lowest(weights.shape[1]))
+    rho = np.zeros((len(temperatures), 2 ** m, 2 ** m), dtype=sectors[0][2].dtype)
     for j in range(m + 1):
-        low, high = math.comb(m, j), math.comb(m, j + 1)
-        states = spec.blocks[j][1][:low]
-        rho[:, states[:, None], states] = grams[j][:, :low, :low] + grams[j + 1][:, high:, high:]
-    return _as_state(rho)
+        # the centre-0 rows of sector j (its first C(m, j)) and the centre-1 rows of sector j+1
+        (_, states, low, low_ranks), (_, _, high, high_ranks) = sectors[j], sectors[j + 1]
+        low, high, states = low[:math.comb(m, j)], high[math.comb(m, j + 1):], states[:math.comb(m, j)]
+        block = (low * weights[:, None, low_ranks]) @ low.T + (high * weights[:, None, high_ranks]) @ high.T
+        rho[:, states[:, None], states] = 0.5 * (block + block.swapaxes(-1, -2))
+    rho /= np.trace(rho, axis1=-2, axis2=-1)[:, None, None]
+    return rho
 
 
 def reduced_thermal_state(params: SpinStarParams, t: float) -> np.ndarray:

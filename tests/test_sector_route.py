@@ -19,6 +19,7 @@ from spinstar import (
     sector_map,
     spectrum_blocked,
 )
+from spinstar import operators
 from spinstar.operators import sector_hamiltonians
 from spinstar.spectra import level_energies, stacked_spectra
 from spinstar.thermal import reduced_state, star_spectrum
@@ -33,7 +34,7 @@ def points(m):
     return [(1.0, 1.0, 1e-15)] + [(*rng.uniform(-3.0, 3.0, 2), t) for t in temps]
 
 
-@pytest.mark.parametrize("m", range(2, 8))
+@pytest.mark.parametrize("m", range(2, 9))
 def test_sector_route_matches_dense_reference(m):
     n = m + 1
     for epsilon, eta, t in points(m):
@@ -47,7 +48,8 @@ def test_sector_route_matches_dense_reference(m):
             assert np.array_equal(stack, restrict_to_sector(h, idx)[None])
 
         spec, dense = star_spectrum(params), spectrum_blocked(h, sector_map(n))
-        assert np.array_equal(spec.eigenvalues, dense.eigenvalues)
+        scale = np.max(np.abs(dense.eigenvalues))
+        assert np.max(np.abs(spec.eigenvalues - dense.eigenvalues)) <= 1e-12 * scale
         assert ground_manifold(spec).degeneracy == ground_manifold(dense).degeneracy
 
         [rho] = reduced_state(spec, params, [t])
@@ -74,3 +76,24 @@ def test_stack_orders_each_cell_as_alone():
     stack = np.array([star_spectrum(params).eigenvalues for params in cells])
     for row, values in zip(level_energies(stack), stack):
         assert np.array_equal(row, level_energies(values))
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_translation_blocks_match_dense_route(m, monkeypatch):
+    # every sector in ring-translation blocks: short orbits (m=4 0101; m=6 periods 2 and 3)
+    # and the m=2 ring's doubled bond
+    monkeypatch.setattr(operators, "TRANSLATION_MIN_DIM", 1)
+    n = m + 1
+    for epsilon, eta, t in [(1.0, 1.0, 0.0)] + points(m):
+        params = SpinStarParams(m=m, omega=1.0, epsilon=epsilon, eta=eta)
+        spec = star_spectrum(params)
+        assert all(isinstance(stack, tuple) for _, _, stack in operators.symmetry_hamiltonians([params]))
+        dense = spectrum_blocked(build_hamiltonian(params), sector_map(n))
+        scale = np.max(np.abs(dense.eigenvalues))
+        assert np.max(np.abs(spec.eigenvalues - dense.eigenvalues)) <= 1e-12 * scale
+        assert ground_manifold(spec).degeneracy == ground_manifold(dense).degeneracy
+        [rho] = reduced_state(spec, params, [t])
+        reference = partial_trace(gibbs_state_from_spectrum(dense, t), range(1, n), n)
+        assert np.max(np.abs(rho - reference)) <= 1e-12
+        for k in range(m):
+            assert abs(negativity(rho, (k,)) - negativity(reference, (k,))) <= 1e-12
