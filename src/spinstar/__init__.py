@@ -15,21 +15,13 @@ from .entanglement import (
     negativity,
     partial_transpose,
 )
-from .operators import (
-    SectorMap,
-    SpinStarParams,
-    build_hamiltonian,
-    sector_map,
-)
+from .operators import SpinStarParams
 from .spectra import (
     GroundManifold,
     SpectralDecomposition,
     analytic_ground_state_m3,
     analytic_spectrum_m3,
-    degeneracy_tolerance,
-    eigh,
     ground_manifold,
-    spectrum_blocked,
 )
 from .sweep import (
     SweepGrid,
@@ -38,12 +30,7 @@ from .sweep import (
     evaluate_point,
     sweep_records,
 )
-from .thermal import (
-    gibbs_state_from_spectrum,
-    partial_trace,
-    reduced_thermal_state,
-    zero_temperature_state,
-)
+from .thermal import reduced_thermal_state, star_spectrum
 
 __version__ = "0.1.0"
 
@@ -51,27 +38,19 @@ __all__ = [
     "GroundManifold",
     "NegativityReport",
     "NumericalInvariantError",
-    "SectorMap",
     "SpectralDecomposition",
     "SpinStarParams",
     "SweepGrid",
     "SweepRecord",
     "analytic_ground_state_m3",
     "analytic_spectrum_m3",
-    "build_hamiltonian",
-    "degeneracy_tolerance",
-    "eigh",
     "evaluate_cell",
     "evaluate_point",
-    "gibbs_state_from_spectrum",
     "ground_manifold",
     "multipartite_negativity",
     "negativity",
-    "partial_trace",
     "partial_transpose",
     "reduced_thermal_state",
-    "sector_map",
-    "spectrum_blocked",
+    "star_spectrum",
     "sweep_records",
-    "zero_temperature_state",
 ]

@@ -99,7 +99,7 @@ def cmd_ground(args: argparse.Namespace) -> int:
         except ValueError:
             pass
         else:
-            fidelity = float(abs(reference @ manifold.basis[:, 0]) ** 2)
+            fidelity = float(abs(reference @ spec.vectors(1)[:, 0]) ** 2)
 
     row = {"m": params.m, "omega": params.omega, "epsilon": params.epsilon, "eta": params.eta,
            "ground_energy": manifold.energy, "ground_degeneracy": manifold.degeneracy,

@@ -9,7 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import qubit_subset
+from .operators import excitations, qubit_count, qubit_subset
 
 # Values in [NEGATIVITY_FLOOR, ZERO_SNAP] are floating-point noise around an
 # exact zero and are reported as 0; anything below the floor means the input
@@ -55,11 +55,12 @@ def _charge_blocks(n_qubits: int, part: tuple[int, ...]):
     Returns the index and, per block size, the slice of the gathered values
     holding those blocks and their (count, size, size) shape.  Where rho
     conserves the excitation number, its partial transpose conserves the
-    charge q = popcount(rest bits) - popcount(part bits).
+    charge q = popcount(rest bits) - popcount(part bits) = popcount(i) - 2*popcount(i & mask).
     """
     dim = 2 ** n_qubits
     mask = sum(1 << (n_qubits - 1 - q) for q in part)
-    charge = np.array([(i & ~mask).bit_count() - (i & mask).bit_count() for i in range(dim)])
+    excited = excitations(n_qubits)
+    charge = excited - 2 * excited[np.arange(dim) & mask]
     by_size = {}
     for q in range(-len(part), n_qubits - len(part) + 1):
         rows = np.flatnonzero(charge == q)
@@ -81,9 +82,7 @@ def _cut(shape: tuple, *part_a):
 
     typed stops a float index from hitting a cached int's entry; equal subsets share _charge_blocks.
     """
-    if len(shape) != 2 or shape[0] != shape[1] or shape[0].bit_count() != 1:
-        raise ValueError(f"expected a square matrix of power-of-two dimension, got shape {shape}")
-    n_qubits = shape[0].bit_length() - 1
+    n_qubits = qubit_count(shape)
     part = qubit_subset(part_a, n_qubits)
     if len(part) == n_qubits:
         raise ValueError("part_a must be a proper subset of the qubits")

@@ -79,60 +79,49 @@ def qubit_subset(qubits, n_qubits: int) -> tuple[int, ...]:
     return subset
 
 
-@dataclass(frozen=True)
-class SectorMap:
-    """Partition of the computational basis by total excitation number."""
+def qubit_count(shape) -> int:
+    """n for a (2^n, 2^n) shape; ValueError for any other shape."""
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0].bit_count() != 1:
+        raise ValueError(f"expected a square matrix of power-of-two dimension, got shape {shape}")
+    return shape[0].bit_length() - 1
 
-    n_qubits: int
-    sectors: tuple[tuple[int, np.ndarray], ...]
 
-    @property
-    def dim(self) -> int:
-        return 2 ** self.n_qubits
+def excitations(n_qubits: int) -> np.ndarray:
+    """Excitation number (popcount) of each basis index 0 .. 2^n_qubits - 1."""
+    return (np.arange(2 ** n_qubits)[:, None] >> np.arange(n_qubits) & 1).sum(axis=1)
 
 
 def build_hamiltonian(params: SpinStarParams) -> np.ndarray:
-    """Dense spin-star Hamiltonian: the sector_hamiltonians blocks placed in the full space.
+    """Dense spin-star Hamiltonian: the sector_terms blocks placed in the full space.
 
     Sum of the free splitting (omega/2) sigma_z on every spin, the exchange
     coupling epsilon between each peripheral spin and the central one, and
     the exchange coupling eta between neighboring peripheral spins on the
     ring.  The result is real symmetric float64, traceless, and commutes
-    with the total excitation number.  This is the dense reference route.
+    with the total excitation number.  A test and benchmark oracle: the
+    evaluation path never forms it.
     """
     h = np.zeros((2 ** params.n_qubits,) * 2)
-    for _, states, blocks in sector_hamiltonians([params]):
-        h[states[:, None], states] = blocks[0]
+    for k, states, *terms in sector_terms(params.m):
+        h[states[:, None], states] = _stack([params], k, states.size, *terms)[0]
     return h
-
-
-@lru_cache(maxsize=32)
-def sector_map(n_qubits: int) -> SectorMap:
-    """Basis indices grouped by excitation number k = 0 .. n_qubits; cached, read-only."""
-    if n_qubits < 1:
-        raise ValueError(f"n_qubits must be at least 1, got {n_qubits}")
-    counts = np.array([i.bit_count() for i in range(2 ** n_qubits)])
-    sectors = []
-    for k in range(n_qubits + 1):
-        idx = np.where(counts == k)[0]
-        idx.setflags(write=False)
-        sectors.append((k, idx))
-    return SectorMap(n_qubits=n_qubits, sectors=tuple(sectors))
 
 
 @lru_cache(maxsize=16)
 def sector_terms(m: int) -> tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]:
     """(k, states, flat, E_k, R_k) per excitation sector k of an m-spin star; cached, read-only.
 
-    The one place that names the star's bonds.  flat holds the row-major
-    positions in sector k's block (states in sector_map order) that a
-    bit-flip hop reaches, and E_k, R_k the epsilon and eta coefficients
-    there; the m=2 ring counts its one bond both ways.
+    The one place that names the star's bonds.  states holds the basis
+    indices with k excitations (see excitations), ascending; flat the
+    row-major positions in sector k's block that a bit-flip hop reaches,
+    and E_k, R_k the epsilon and eta coefficients there; the m=2 ring
+    counts its one bond both ways.
     """
     n = m + 1
     bonds = ([(0, q) for q in range(1, m + 1)], [(q, q % m + 1) for q in range(1, m + 1)])
-    out = []
-    for k, states in sector_map(n).sectors:
+    excited, out = excitations(n), []
+    for k in range(n + 1):
+        states = np.flatnonzero(excited == k)
         counts = np.zeros((2, states.size ** 2))
         for term, pairs in enumerate(bonds):
             for a, b in pairs:
@@ -145,7 +134,7 @@ def sector_terms(m: int) -> tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray,
                 counts[term, row * states.size + source] += 1.0
         flat = np.flatnonzero(counts.any(axis=0))
         central, ring = counts[:, flat]
-        for array in (flat, central, ring):
+        for array in (states, flat, central, ring):
             array.setflags(write=False)
         out.append((k, states, flat, central, ring))
     return tuple(out)
@@ -205,33 +194,25 @@ def translation_blocks(m: int, k: int) -> tuple[tuple[np.ndarray, np.ndarray, np
     return tuple(out)
 
 
-def _stack(cells, couplings, k: int, size: int, flat, central, ring) -> np.ndarray:
+def _stack(cells, k: int, size: int, flat, central, ring) -> np.ndarray:
     """Stack of omega*(k - (m+1)/2)*I + epsilon_i*central + eta_i*ring (raveled, at flat) per cell."""
-    epsilon, eta = couplings  # each (cells, 1, 1)
+    epsilon, eta = np.array([[p.epsilon, p.eta] for p in cells]).T[:, :, None]  # each (cells, 1)
     blocks = np.zeros((len(cells), size * size))
     blocks[:, flat] = epsilon * central.ravel() + eta * ring.ravel()
     blocks[:, ::size + 1] += cells[0].omega * (k - (cells[0].m + 1) / 2)
     return blocks.reshape(-1, size, size)
 
 
-def sector_hamiltonians(cells):
-    """Yield (k, states, blocks) for k = 0..m+1, stacked over cells sharing m and omega.
-
-    blocks[i] = omega*(k - (m+1)/2)*I + epsilon_i*E_k + eta_i*R_k for the
-    i-th SpinStarParams of cells; build_hamiltonian places a one-cell stack.
-    """
-    couplings = np.array([[p.epsilon, p.eta] for p in cells]).T[:, :, None]
-    for k, states, *terms in sector_terms(cells[0].m):
-        yield k, states, _stack(cells, couplings, k, states.size, *terms)
-
-
 def symmetry_hamiltonians(cells):
-    """sector_hamiltonians for stacked_spectra, but a sector of TRANSLATION_MIN_DIM states or more
-    comes as a tuple of (columns, coefficients, blocks) parts, one per translation_blocks block."""
-    couplings = np.array([[p.epsilon, p.eta] for p in cells]).T[:, :, None]
+    """Yield (k, states, stack) for k = 0..m+1, stacked over cells sharing m and omega, for stacked_spectra.
+
+    stack[i] = omega*(k - (m+1)/2)*I + epsilon_i*E_k + eta_i*R_k for the i-th SpinStarParams of
+    cells; a sector of TRANSLATION_MIN_DIM states or more comes as a tuple of (columns,
+    coefficients, stack) parts instead, one per translation_blocks block.
+    """
     for k, states, *terms in sector_terms(cells[0].m):
         if states.size < TRANSLATION_MIN_DIM:
-            yield k, states, _stack(cells, couplings, k, states.size, *terms)
+            yield k, states, _stack(cells, k, states.size, *terms)
         else:
-            yield k, states, tuple((q, c, _stack(cells, couplings, k, len(e), slice(None), e, r))
+            yield k, states, tuple((q, c, _stack(cells, k, len(e), slice(None), e, r))
                                    for q, c, e, r in translation_blocks(cells[0].m, k))

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import SectorMap
+from .operators import excitations, qubit_count
 
 HERMITICITY_TOL = 1e-10
 BLOCK_TOL = 1e-10
@@ -44,11 +44,10 @@ class SpectralDecomposition:
 
 @dataclass
 class GroundManifold:
-    """Lowest eigenvalue, its degeneracy, and an orthonormal spanning set."""
+    """Lowest eigenvalue and its degeneracy; spec.vectors(degeneracy) spans the manifold."""
 
     energy: float
     degeneracy: int
-    basis: np.ndarray
 
 
 def degeneracy_tolerance(eigenvalues: np.ndarray):
@@ -110,26 +109,20 @@ def eigh(op: np.ndarray) -> SpectralDecomposition:
     return stacked_spectra([(0, np.arange(len(op)), np.asarray(op)[None])])[0]
 
 
-def spectrum_blocked(op: np.ndarray, sectors: SectorMap) -> SpectralDecomposition:
-    """Spectrum of a dense operator from independent per-sector diagonalizations.
+def spectrum_blocked(op: np.ndarray) -> SpectralDecomposition:
+    """Spectrum of a dense 2^n x 2^n operator from one diagonalization per excitation sector.
 
-    The dense reference route for the sector-native star_spectrum: op must
-    be block diagonal under the sector partition (checked to 1e-10 in
-    max-norm), and each sector's submatrix is diagonalized.
+    A test and benchmark oracle for star_spectrum: op must be Hermitian and
+    block diagonal under the excitation sectors, both checked to 1e-10 in
+    max-norm; ValueError otherwise, or when op is not square of power-of-two size.
     """
-    dim = sectors.dim
-    if np.shape(op) != (dim, dim):
-        raise ValueError(f"operator shape {np.shape(op)} does not match {dim}-dim sector map")
+    excited = excitations(qubit_count(np.shape(op)))
     op = _hermitian(op)
-
-    labels_by_index = np.empty(dim, dtype=int)
-    for k, idx in sectors.sectors:
-        labels_by_index[idx] = k
-    off_block = labels_by_index[:, None] != labels_by_index[None, :]
-    leakage = np.max(np.abs(op[off_block])) if off_block.any() else 0.0
+    leakage = np.max(np.abs(op[excited[:, None] != excited]), initial=0.0)
     if leakage > BLOCK_TOL:
-        raise ValueError(f"matrix is not block diagonal under the sector map (leakage {leakage:.3e})")
-    return stacked_spectra([(k, idx, op[np.ix_(idx, idx)][None]) for k, idx in sectors.sectors])[0]
+        raise ValueError(f"matrix is not block diagonal in the excitation sectors (leakage {leakage:.3e})")
+    sectors = [np.flatnonzero(excited == k) for k in range(excited.max() + 1)]
+    return stacked_spectra([(k, idx, op[np.ix_(idx, idx)][None]) for k, idx in enumerate(sectors)])[0]
 
 
 def analytic_spectrum_m3(omega: float, epsilon: float, eta: float) -> np.ndarray:
@@ -191,7 +184,5 @@ def level_energies(eigenvalues: np.ndarray) -> np.ndarray:
 
 
 def ground_manifold(spec: SpectralDecomposition) -> GroundManifold:
-    """Eigenpairs of the lowest level (see level_energies), as an orthonormal basis."""
-    count = int(np.count_nonzero(spec.gaps == 0))
-    return GroundManifold(energy=float(spec.eigenvalues[0]), degeneracy=count,
-                          basis=spec.vectors(count))
+    """Energy and size of the lowest level (see level_energies)."""
+    return GroundManifold(float(spec.eigenvalues[0]), int(np.count_nonzero(spec.gaps == 0)))

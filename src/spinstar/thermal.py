@@ -48,7 +48,7 @@ def _boltzmann(spec: SpectralDecomposition, kts) -> np.ndarray:
 def gibbs_state_from_spectrum(spec: SpectralDecomposition, t: float) -> np.ndarray:
     """Gibbs state exp(-H/t) / Z from a precomputed spectrum, t in the unit of its eigenvalues.
 
-    The dense reference route for reduced_state.  t = 0 keeps the ground
+    A test and benchmark oracle for reduced_state.  t = 0 keeps the ground
     level alone (the ground-manifold mixture).
     """
     check_temperature(t)
@@ -58,12 +58,12 @@ def gibbs_state_from_spectrum(spec: SpectralDecomposition, t: float) -> np.ndarr
 
 
 def zero_temperature_state(spec: SpectralDecomposition) -> np.ndarray:
-    """Uniform mixture over the ground manifold, the t -> 0+ Gibbs limit (dense reference route)."""
+    """Uniform mixture over the ground manifold, the t -> 0+ Gibbs limit; a test and benchmark oracle."""
     return gibbs_state_from_spectrum(spec, 0.0)
 
 
 def partial_trace(rho: np.ndarray, keep, n_qubits: int) -> np.ndarray:
-    """Reduced density matrix on the kept qubits; the dense reference route.
+    """Reduced density matrix on the kept qubits; a test and benchmark oracle for reduced_state.
 
     Parameters
     ----------

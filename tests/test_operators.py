@@ -1,11 +1,8 @@
 import numpy as np
 import pytest
 
-from spinstar import (
-    SpinStarParams,
-    build_hamiltonian,
-    sector_map,
-)
+from spinstar import SpinStarParams
+from spinstar.operators import build_hamiltonian, excitations, sector_terms
 
 from oracles import kron_chain, qubit_permutation_matrix, restrict_to_sector
 
@@ -120,37 +117,36 @@ def test_cyclic_permutation_invariance_m5():
 
 
 def test_sector_map_two_qubits():
-    sm = sector_map(2)
-    assert [(k, list(idx)) for k, idx in sm.sectors] == [(0, [0]), (1, [1, 2]), (2, [3])]
+    assert list(excitations(2)) == [0, 1, 1, 2]
+    assert list(excitations(1)) == [0, 1]
 
 
 def test_sector_map_sizes_are_binomial():
-    sm = sector_map(4)
-    sizes = [idx.size for _, idx in sm.sectors]
+    # the production partition: sector_terms' ascending state lists, here of 4 qubits
+    sizes = [states.size for _, states, *_ in sector_terms(3)]
     assert sizes == [1, 4, 6, 4, 1]
     assert sum(sizes) == 16
-    covered = np.sort(np.concatenate([idx for _, idx in sm.sectors]))
+    covered = np.sort(np.concatenate([states for _, states, *_ in sector_terms(3)]))
     assert np.array_equal(covered, np.arange(16))
 
 
 def test_sector_membership_is_popcount():
-    sm = sector_map(5)
-    for k, idx in sm.sectors:
-        assert all(int(i).bit_count() == k for i in idx)
+    for k, states, *_ in sector_terms(4):
+        assert all(int(i).bit_count() == k for i in states)
+        assert np.all(np.diff(states) > 0)
+    assert [int(i).bit_count() for i in range(64)] == list(excitations(6))
 
 
 def test_restrict_identity():
-    sm = sector_map(4)
-    for _, idx in sm.sectors:
-        block = restrict_to_sector(np.eye(16, dtype=complex), idx)
-        assert np.array_equal(block, np.eye(idx.size, dtype=complex))
+    for _, states, *_ in sector_terms(3):
+        block = restrict_to_sector(np.eye(16, dtype=complex), states)
+        assert np.array_equal(block, np.eye(states.size, dtype=complex))
 
 
 def test_restrict_vacuum_sector_of_star():
     omega = 1.0
     h = build_hamiltonian(SpinStarParams(m=3, omega=omega, epsilon=1.0, eta=0.7))
-    sm = sector_map(4)
-    block = restrict_to_sector(h, sm.sectors[0][1])
+    block = restrict_to_sector(h, sector_terms(3)[0][1])
     assert block.shape == (1, 1)
     assert abs(block[0, 0] - (-2.0 * omega)) < 1e-14
 
@@ -158,7 +154,7 @@ def test_restrict_vacuum_sector_of_star():
 def test_restrict_single_excitation_sector_eigenvalues():
     omega, eps, eta = 1.0, 1.4, 0.3
     h = build_hamiltonian(SpinStarParams(m=3, omega=omega, epsilon=eps, eta=eta))
-    block = restrict_to_sector(h, sector_map(4).sectors[1][1])
+    block = restrict_to_sector(h, sector_terms(3)[1][1])
     lam = np.sort(np.linalg.eigvalsh(block))
     root = np.sqrt(3 * eps ** 2 + eta ** 2)
     expected = np.sort([eta - root - omega, -eta - omega, -eta - omega, eta + root - omega])

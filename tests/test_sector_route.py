@@ -1,28 +1,20 @@
-"""The sector-native evaluation path against the dense reference route.
+"""The sector-native evaluation path against the dense oracles.
 
 star_spectrum, reduced_state and negativity never form a 2^(m+1)-dimensional
-matrix; spectrum_blocked, gibbs_state_from_spectrum and partial_trace do, and
-stay as the reference they are checked against here.  build_hamiltonian
-places the sector blocks, so both are pinned to the bit-flip oracle.
+matrix.  The oracles do: build_hamiltonian, spectrum_blocked,
+gibbs_state_from_spectrum and partial_trace, imported from their modules.
+build_hamiltonian places the sector_terms blocks at their states, so it is
+pinned to the bit-flip oracle, and the states to the excitation partition.
 """
 
 import numpy as np
 import pytest
 
-from spinstar import (
-    SpinStarParams,
-    build_hamiltonian,
-    gibbs_state_from_spectrum,
-    ground_manifold,
-    negativity,
-    partial_trace,
-    sector_map,
-    spectrum_blocked,
-)
+from spinstar import SpinStarParams, ground_manifold, negativity, star_spectrum
 from spinstar import operators
-from spinstar.operators import sector_hamiltonians
-from spinstar.spectra import level_energies, stacked_spectra
-from spinstar.thermal import reduced_state, star_spectrum
+from spinstar.operators import build_hamiltonian, sector_terms, symmetry_hamiltonians
+from spinstar.spectra import level_energies, spectrum_blocked, stacked_spectra
+from spinstar.thermal import gibbs_state_from_spectrum, partial_trace, reduced_state
 
 from oracles import brute_partial_transpose, brute_star_hamiltonian, restrict_to_sector
 
@@ -37,17 +29,19 @@ def points(m):
 @pytest.mark.parametrize("m", range(2, 9))
 def test_sector_route_matches_dense_reference(m):
     n = m + 1
+    # sector k's states: the basis indices with k excitations, ascending
+    assert [k for k, *_ in sector_terms(m)] == list(range(n + 1))
+    assert np.concatenate([states for _, states, *_ in sector_terms(m)]).tolist() \
+        == sorted(range(2 ** n), key=lambda i: (i.bit_count(), i))
     for epsilon, eta, t in points(m):
         params = SpinStarParams(m=m, omega=1.0, epsilon=epsilon, eta=eta)
         h = build_hamiltonian(params)
         assert np.array_equal(h, brute_star_hamiltonian(m, 1.0, epsilon, eta))
-        blocks = list(sector_hamiltonians([params]))
-        assert [k for k, _, _ in blocks] == list(range(n + 1))
-        for (k, states, stack), (_, idx) in zip(blocks, sector_map(n).sectors):
-            assert np.array_equal(states, idx)
-            assert np.array_equal(stack, restrict_to_sector(h, idx)[None])
+        for _, states, stack in symmetry_hamiltonians([params]):
+            if not isinstance(stack, tuple):  # test_translation_blocks_match_dense_route checks the rest
+                assert np.array_equal(stack, restrict_to_sector(h, states)[None])
 
-        spec, dense = star_spectrum(params), spectrum_blocked(h, sector_map(n))
+        spec, dense = star_spectrum(params), spectrum_blocked(h)
         scale = np.max(np.abs(dense.eigenvalues))
         assert np.max(np.abs(spec.eigenvalues - dense.eigenvalues)) <= 1e-12 * scale
         assert ground_manifold(spec).degeneracy == ground_manifold(dense).degeneracy
@@ -64,7 +58,7 @@ def test_stack_orders_each_cell_as_alone():
     # the six-fold crossing, plus cells with exact ties between sectors
     couplings = [(1.0, 1.0), (1.0, 0.5), (1.0, 2.0), (0.0, 1.0), (2.0, 0.5), (-0.4, -1.7), (0.0, 0.0)]
     cells = [SpinStarParams(m=3, omega=1.0, epsilon=eps, eta=eta) for eps, eta in couplings]
-    for spec, params in zip(stacked_spectra(sector_hamiltonians(cells)), cells):
+    for spec, params in zip(stacked_spectra(symmetry_hamiltonians(cells)), cells):
         alone = star_spectrum(params)
         for name in ("eigenvalues", "sector_labels", "gaps"):
             assert np.array_equal(getattr(spec, name), getattr(alone, name))
@@ -88,7 +82,7 @@ def test_translation_blocks_match_dense_route(m, monkeypatch):
         params = SpinStarParams(m=m, omega=1.0, epsilon=epsilon, eta=eta)
         spec = star_spectrum(params)
         assert all(isinstance(stack, tuple) for _, _, stack in operators.symmetry_hamiltonians([params]))
-        dense = spectrum_blocked(build_hamiltonian(params), sector_map(n))
+        dense = spectrum_blocked(build_hamiltonian(params))
         scale = np.max(np.abs(dense.eigenvalues))
         assert np.max(np.abs(spec.eigenvalues - dense.eigenvalues)) <= 1e-12 * scale
         assert ground_manifold(spec).degeneracy == ground_manifold(dense).degeneracy

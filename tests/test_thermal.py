@@ -4,17 +4,13 @@ import pytest
 from spinstar import (
     SpinStarParams,
     analytic_ground_state_m3,
-    build_hamiltonian,
-    eigh,
-    gibbs_state_from_spectrum,
     multipartite_negativity,
-    partial_trace,
     reduced_thermal_state,
-    sector_map,
-    spectrum_blocked,
-    zero_temperature_state,
+    star_spectrum,
 )
-from spinstar.thermal import star_spectrum
+from spinstar.operators import build_hamiltonian
+from spinstar.spectra import eigh, spectrum_blocked
+from spinstar.thermal import gibbs_state_from_spectrum, partial_trace, zero_temperature_state
 
 from oracles import (
     bell_state,
@@ -85,7 +81,7 @@ def test_cold_gibbs_concentrates_on_ground_state():
 
 
 def test_zero_temperature_pure_when_nondegenerate():
-    spec = spectrum_blocked(star(3, 1.0, 1.0, 0.5), sector_map(4))
+    spec = spectrum_blocked(star(3, 1.0, 1.0, 0.5))
     rho = zero_temperature_state(spec)
     lam = np.linalg.eigvalsh(rho)
     assert abs(lam[-1] - 1.0) < 1e-12
@@ -93,7 +89,7 @@ def test_zero_temperature_pure_when_nondegenerate():
 
 
 def test_zero_temperature_rank_four_projector():
-    spec = spectrum_blocked(star(3, 1.0, 1.0, 2.0), sector_map(4))
+    spec = spectrum_blocked(star(3, 1.0, 1.0, 2.0))
     rho = zero_temperature_state(spec)
     lam = np.sort(np.linalg.eigvalsh(rho))
     assert np.max(np.abs(lam[-4:] - 0.25)) < 1e-12
@@ -102,7 +98,7 @@ def test_zero_temperature_rank_four_projector():
 
 def test_zero_temperature_state_constant_beyond_crossing():
     # ground eigenstates do not move with eta once eta > omega (epsilon = omega)
-    states = [zero_temperature_state(spectrum_blocked(star(3, 1.0, 1.0, eta), sector_map(4)))
+    states = [zero_temperature_state(spectrum_blocked(star(3, 1.0, 1.0, eta)))
               for eta in (1.5, 2.0, 5.0)]
     assert np.max(np.abs(states[0] - states[1])) < 1e-10
     assert np.max(np.abs(states[1] - states[2])) < 1e-10
