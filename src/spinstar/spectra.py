@@ -27,18 +27,12 @@ class SpectralDecomposition:
         self.eigenvalues, self.sector_labels = eigenvalues, sector_labels
         self.gaps, self.blocks = gaps, blocks
 
-    def lowest(self, count: int):
-        """Yield (label, states, eigenvectors, ranks) per block, cut to the count lowest eigenvalues."""
-        for k, states, vectors, ranks in self.blocks:
-            kept = int(ranks.searchsorted(count))  # ranks ascend within a block
-            yield k, states, vectors[:, :kept], ranks[:kept]
-
     def vectors(self, count: int) -> np.ndarray:
         """The eigenvectors of the count lowest eigenvalues, as columns in the full space."""
         out = np.zeros((self.dim, count), dtype=self.blocks[0][2].dtype)
-        for _, states, vectors, ranks in self.lowest(count):
-            if ranks.size:
-                out[states[:, None], ranks] = vectors
+        for _, states, vectors, ranks in self.blocks:
+            kept = int(ranks.searchsorted(count))  # ranks ascend within a block
+            out[states[:, None], ranks[:kept]] = vectors[:, :kept]
         return out
 
 

@@ -1,8 +1,8 @@
 """Deterministic parameter-grid sweeps over (epsilon, eta, t).
 
-Grid cells are pure functions of their inputs, solved and evaluated in
-stacks (see stacks); rows are written in canonical order (lexicographic by
-t, then eta, then epsilon), so the output is byte-identical across runs.
+Grid cells are pure functions of their inputs: a stack of them is diagonalized and its
+Gibbs states formed together (solve_stack), then each cell is evaluated (evaluate_cell); rows
+are written in canonical order (lexicographic by t, eta, epsilon), byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -18,23 +18,36 @@ import numpy as np
 from .entanglement import multipartite_negativity
 from .operators import SpinStarParams, symmetry_hamiltonians
 from .spectra import SpectralDecomposition, ground_manifold, stacked_spectra
-from .thermal import check_temperature, reduced_state, star_spectrum
+from .thermal import check_temperature, reduced_state
 
 # A sweep holds every record until it writes them, about 350 B each at m=3 and
 # 500 B at m=11 (tracemalloc): this keeps a sweep's records under 0.5 GB.
 MAX_SWEEP_RECORDS = 10 ** 6
 
-# A stacked eigh or Gibbs product holds about this many bytes: an item costs a
-# cell's sector blocks, C(2m+2, m+1) floats, plus a reduced state, 4^m.  An m=3
-# stack holds 61 cells and from m=6 on one.  1 MiB ran sweep-m3 0-9 % faster but
-# raised its peak RSS from 35.3 to 38.6 MiB.
+# A stack holds about this many bytes.  A stacked eigh counts per cell its sector blocks,
+# C(2m+2, m+1) floats, plus a 4^m state (61 cells at m=3, one from m=6 on); a Gibbs stack, cells x
+# temperatures 4^m states.  1 MiB ran sweep-m3 0-9 % faster but raised its peak RSS from 35.3 to 38.6 MiB.
 MAX_STACK_BYTES = 64 * 1024
 
 
 def stacks(items, m: int) -> list:
-    """items (cells or temperatures) in consecutive slices that fit MAX_STACK_BYTES."""
+    """Cells in consecutive slices that fit MAX_STACK_BYTES, for one stacked_spectra call each."""
     size = max(1, MAX_STACK_BYTES // (8 * (math.comb(2 * m + 2, m + 1) + 4 ** m)))
     return [items[i:i + size] for i in range(0, len(items), size)]
+
+
+def solve_stack(cells, temps):
+    """Yield (spectrum, reduced states) per cell, from one stacked_spectra call and Gibbs stacks that
+    fit MAX_STACK_BYTES; a cell whose states alone overflow it yields them lazily, a few at a time."""
+    spectra = stacked_spectra(symmetry_hamiltonians(cells))
+    fit = max(1, MAX_STACK_BYTES // (8 * 4 ** cells[0].m))  # states in one Gibbs stack
+    size = fit // len(temps)
+    for i in range(0, len(spectra), max(1, size)):
+        if size:
+            yield from zip(spectra[i:i + size], reduced_state(spectra[i:i + size], cells[0], temps))
+        else:
+            yield spectra[i], (rho for j in range(0, len(temps), fit)
+                               for rho in reduced_state(spectra[i:i + 1], cells[0], temps[j:j + fit])[0])
 
 
 @dataclass(frozen=True)
@@ -97,25 +110,25 @@ def axis_values(axis: tuple[float, float, int]) -> np.ndarray:
 
 
 def evaluate_cell(spec: SpectralDecomposition, params: SpinStarParams,
-                  temperatures) -> list[SweepRecord]:
-    """All requested temperatures for one coupling pair, from its star_spectrum."""
+                  temperatures, states) -> list[SweepRecord]:
+    """One record per temperature for a coupling pair, from its spectrum and its states (see solve_stack)."""
     manifold = ground_manifold(spec)
     records = []
-    for chunk in stacks(temperatures, params.m):
-        for t, rho in zip(chunk, reduced_state(spec, params, chunk)):
-            report = multipartite_negativity(rho, params.m)
-            records.append(SweepRecord(
-                epsilon=float(params.epsilon), eta=float(params.eta), t=float(t),
-                neg_multi=report.multipartite, per_cut=report.per_cut,
-                ground_energy=manifold.energy, ground_degeneracy=manifold.degeneracy,
-                degenerate_cell=manifold.degeneracy > 1))
+    for t, rho in zip(temperatures, states):
+        report = multipartite_negativity(rho, params.m)
+        records.append(SweepRecord(
+            epsilon=float(params.epsilon), eta=float(params.eta), t=float(t),
+            neg_multi=report.multipartite, per_cut=report.per_cut,
+            ground_energy=manifold.energy, ground_degeneracy=manifold.degeneracy,
+            degenerate_cell=manifold.degeneracy > 1))
     return records
 
 
 def evaluate_point(params: SpinStarParams, t: float) -> SweepRecord:
-    """Single-cell evaluation; shares the code path used by grid sweeps."""
+    """Single-cell evaluation, a stack of one; shares the code path used by grid sweeps."""
     check_temperature(t)
-    return evaluate_cell(star_spectrum(params), params, (t,))[0]
+    [(spec, states)] = solve_stack([params], (t,))
+    return evaluate_cell(spec, params, (t,), states)[0]
 
 
 def sweep_records(grid: SweepGrid) -> list[SweepRecord]:
@@ -124,8 +137,8 @@ def sweep_records(grid: SweepGrid) -> list[SweepRecord]:
     temps = tuple(sorted(grid.temperatures))
     cells = [SpinStarParams(grid.m, grid.omega, eps, eta)
              for eta in axis_values(grid.eta_axis) for eps in eps_values]
-    per_cell = [evaluate_cell(spec, params, temps) for chunk in stacks(cells, grid.m)
-                for spec, params in zip(stacked_spectra(symmetry_hamiltonians(chunk)), chunk)]
+    per_cell = [evaluate_cell(spec, params, temps, states) for chunk in stacks(cells, grid.m)
+                for params, (spec, states) in zip(chunk, solve_stack(chunk, temps))]
     return [cell[t_index] for t_index in range(len(temps)) for cell in per_cell]
 
 

@@ -1,5 +1,5 @@
-"""Gibbs states of the full network, their zero-temperature limit, and the
-reduction to the peripheral spins.
+"""Gibbs states of the full network, their zero-temperature limit, and the reduction
+to the peripheral spins, formed for a stack of cells x temperatures at once (reduced_state).
 
 Temperatures are dimensionless, t = k_B T / (hbar omega); t = 0 selects the
 uniform mixture over the (possibly degenerate) ground manifold, which is the
@@ -19,30 +19,25 @@ from .spectra import SpectralDecomposition, stacked_spectra
 WEIGHT_FLOOR = 1e-300
 
 
-def check_temperature(t: float) -> None:
-    """Accept only a finite t >= 0; t = 0 selects the ground-manifold limit."""
+def check_temperature(t: float) -> float:
+    """t, if finite and >= 0 (t = 0 selects the ground-manifold limit); ValueError otherwise."""
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"temperature must be finite and >= 0, got {t}")
+    return t
 
 
-def _as_state(rho: np.ndarray) -> np.ndarray:
-    rho = 0.5 * (rho + np.swapaxes(rho, -1, -2).conj())
-    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+def _boltzmann(gaps: np.ndarray, kts) -> np.ndarray:
+    """Boltzmann weights of the level gaps (last axis), one row per kt, relative to the ground level's 1.
 
-
-def _boltzmann(spec: SpectralDecomposition, kts) -> np.ndarray:
-    """Boltzmann weights of the lowest eigenvalues, one row per kt, relative to the ground level's 1.
-
-    Each level (see level_energies) gets one weight, so degenerate levels stay
-    symmetric; kt = 0 keeps the ground level.  Weights below WEIGHT_FLOOR are 0
-    and rows are cut to the longest kept prefix; the caller normalizes by the trace.
+    Each level (see level_energies) gets one weight, so degenerate levels stay symmetric; kt = 0 keeps
+    the ground level.  Weights below WEIGHT_FLOOR are 0, so each row keeps a prefix of the levels.
     """
     kts = np.asarray(kts, dtype=float)[:, None]
     cold = kts == 0
     with np.errstate(over="ignore"):  # a gap/kt past the float range is weight 0, not a warning
-        weights = np.where(cold, spec.gaps == 0, np.exp(-spec.gaps / np.where(cold, 1.0, kts)))
+        weights = np.where(cold, gaps == 0, np.exp(-gaps / np.where(cold, 1.0, kts)))
     weights[weights < WEIGHT_FLOOR] = 0.0
-    return weights[:, :np.count_nonzero(weights.any(axis=0))]
+    return weights
 
 
 def gibbs_state_from_spectrum(spec: SpectralDecomposition, t: float) -> np.ndarray:
@@ -52,9 +47,11 @@ def gibbs_state_from_spectrum(spec: SpectralDecomposition, t: float) -> np.ndarr
     level alone (the ground-manifold mixture).
     """
     check_temperature(t)
-    weights = _boltzmann(spec, [t])[0]
-    vectors = spec.vectors(weights.size)
-    return _as_state((vectors * weights) @ vectors.conj().T)
+    weights = _boltzmann(spec.gaps, [t])[0]
+    vectors = spec.vectors(np.count_nonzero(weights))
+    rho = (vectors * weights[:vectors.shape[1]]) @ vectors.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
 
 
 def zero_temperature_state(spec: SpectralDecomposition) -> np.ndarray:
@@ -89,33 +86,43 @@ def star_spectrum(params: SpinStarParams) -> SpectralDecomposition:
     return stacked_spectra(symmetry_hamiltonians([params]))[0]
 
 
-def reduced_state(spec: SpectralDecomposition, params: SpinStarParams, temperatures) -> np.ndarray:
-    """Gibbs states at each t, from star_spectrum(params), with the central spin traced out.
+def reduced_state(spectra, params: SpinStarParams, temperatures) -> np.ndarray:
+    """Gibbs states with the central spin traced out, a (cells, temperatures, 2^m, 2^m) stack.
 
-    Returns a stack of 2^m x 2^m states.  Of sector k's Gibbs block V_k diag(w) V_k^T only the
-    centre-0 part (its first C(m, k) states) and the centre-1 part are formed, one stacked
-    product over t each; peripheral block j, the centre-0 part of sector j plus the centre-1
-    part of sector j+1, is symmetrized and divided by the trace.  No 2^(m+1) matrix is formed.
+    spectra come from one stacked_spectra call, of cells sharing params.m and params.omega.  Of sector
+    k's Gibbs block V_k diag(w) V_k^T only the centre-0 part (its first C(m, k) states) and the centre-1
+    part are formed, one product over all cells x temperatures each, from the eigenvectors that any cell
+    keeps; peripheral block j, the centre-0 part of sector j plus the centre-1 part of sector j+1, is
+    symmetrized, and each state divided by its own trace.  No 2^(m+1) matrix is formed.
     """
-    for t in temperatures:
-        check_temperature(t)
-    m = params.m
-    if [block[0] for block in spec.blocks] != list(range(m + 2)):
+    def stack(arrays):  # a stack of one is a view: it copies no eigenvectors
+        return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+    kts, m = [check_temperature(t) * params.omega for t in temperatures], params.m
+    if any([block[0] for block in spec.blocks] != list(range(m + 2)) for spec in spectra):
         raise ValueError(f"expected the excitation-sector spectrum of an m={m} star")
-    weights = _boltzmann(spec, [t * params.omega for t in temperatures])
-    sectors = list(spec.lowest(weights.shape[1]))
-    rho = np.zeros((len(temperatures), 2 ** m, 2 ** m), dtype=sectors[0][2].dtype)
+    weights = _boltzmann(stack([spec.gaps for spec in spectra])[:, None], kts)
+    prefixes = zip(spectra, np.count_nonzero(weights.any(axis=1), axis=-1))  # each cell keeps a prefix
+    counts = np.max([np.bincount(spec.sector_labels[:n], minlength=m + 2) for spec, n in prefixes], axis=0)
+    cell, temp = np.arange(len(spectra))[:, None, None], np.arange(len(temperatures))[:, None]
+    sectors = [(stack([s.blocks[k][2][:, :n] for s in spectra])[:, None],
+                weights[cell, temp, stack([s.blocks[k][3][:n] for s in spectra])[:, None]][..., None, :])
+               for k, n in enumerate(counts)]
+    blocks, diagonal = [], np.zeros((*weights.shape[:2], 2 ** m))
     for j in range(m + 1):
         # the centre-0 rows of sector j (its first C(m, j)) and the centre-1 rows of sector j+1
-        (_, states, low, low_ranks), (_, _, high, high_ranks) = sectors[j], sectors[j + 1]
-        low, high, states = low[:math.comb(m, j)], high[math.comb(m, j + 1):], states[:math.comb(m, j)]
-        block = (low * weights[:, None, low_ranks]) @ low.T + (high * weights[:, None, high_ranks]) @ high.T
-        rho[:, states[:, None], states] = 0.5 * (block + block.swapaxes(-1, -2))
-    rho /= np.trace(rho, axis1=-2, axis2=-1)[:, None, None]
+        (low, low_w), (high, high_w) = sectors[j], sectors[j + 1]
+        low, high = low[..., :math.comb(m, j), :], high[..., math.comb(m, j + 1):, :]
+        block = (low * low_w) @ low.swapaxes(-1, -2) + (high * high_w) @ high.swapaxes(-1, -2)
+        blocks.append((spectra[0].blocks[j][1][:math.comb(m, j)], 0.5 * (block + block.swapaxes(-1, -2))))
+        diagonal[..., blocks[-1][0]] = blocks[-1][1].diagonal(axis1=-2, axis2=-1)
+    trace = diagonal.sum(axis=-1)[..., None, None]  # the trace of rho, summed in index order
+    rho = np.zeros((*diagonal.shape, 2 ** m))
+    for states, block in blocks:  # the rest of rho is 0 and needs no division
+        rho[..., states[:, None], states] = block / trace
     return rho
 
 
 def reduced_thermal_state(params: SpinStarParams, t: float) -> np.ndarray:
     """Thermal state of the full star with the central spin traced out."""
     check_temperature(t)
-    return reduced_state(star_spectrum(params), params, [t])[0]
+    return reduced_state([star_spectrum(params)], params, [t])[0, 0]

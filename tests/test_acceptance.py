@@ -24,7 +24,7 @@ from spinstar import (
 )
 from spinstar.operators import build_hamiltonian
 from spinstar.spectra import eigh, spectrum_blocked
-from spinstar.thermal import gibbs_state_from_spectrum, partial_trace
+from spinstar.thermal import gibbs_state_from_spectrum, partial_trace, reduced_state
 
 from oracles import (
     bell_state,
@@ -214,7 +214,8 @@ def test_criterion_07_activated_cells_match_oracle():
     for eps, eta in ACTIVATED_CELLS:
         assert vacuum_ground(1.0, eps, eta)
         params = SpinStarParams(m=3, omega=1.0, epsilon=eps, eta=eta)
-        cold, warm = evaluate_cell(star_spectrum(params), params, (0.01, 0.1))
+        spec = star_spectrum(params)
+        cold, warm = evaluate_cell(spec, params, (0.01, 0.1), reduced_state([spec], params, (0.01, 0.1))[0])
         brute_cold = brute_cut_negativities(eps, eta, 0.01)
         brute_warm = brute_cut_negativities(eps, eta, 0.1)
         worst = max(worst, float(np.max(np.abs(np.subtract(cold.per_cut, brute_cold)))),

@@ -46,7 +46,7 @@ def test_sector_route_matches_dense_reference(m):
         assert np.max(np.abs(spec.eigenvalues - dense.eigenvalues)) <= 1e-12 * scale
         assert ground_manifold(spec).degeneracy == ground_manifold(dense).degeneracy
 
-        [rho] = reduced_state(spec, params, [t])
+        [[rho]] = reduced_state([spec], params, [t])
         reference = partial_trace(gibbs_state_from_spectrum(dense, t), range(1, n), n)
         assert np.max(np.abs(rho - reference)) <= 1e-12
         for k in range(m):
@@ -86,7 +86,7 @@ def test_translation_blocks_match_dense_route(m, monkeypatch):
         scale = np.max(np.abs(dense.eigenvalues))
         assert np.max(np.abs(spec.eigenvalues - dense.eigenvalues)) <= 1e-12 * scale
         assert ground_manifold(spec).degeneracy == ground_manifold(dense).degeneracy
-        [rho] = reduced_state(spec, params, [t])
+        [[rho]] = reduced_state([spec], params, [t])
         reference = partial_trace(gibbs_state_from_spectrum(dense, t), range(1, n), n)
         assert np.max(np.abs(rho - reference)) <= 1e-12
         for k in range(m):

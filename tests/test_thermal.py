@@ -8,9 +8,9 @@ from spinstar import (
     reduced_thermal_state,
     star_spectrum,
 )
-from spinstar.operators import build_hamiltonian
-from spinstar.spectra import eigh, spectrum_blocked
-from spinstar.thermal import gibbs_state_from_spectrum, partial_trace, zero_temperature_state
+from spinstar.operators import build_hamiltonian, symmetry_hamiltonians
+from spinstar.spectra import eigh, spectrum_blocked, stacked_spectra
+from spinstar.thermal import gibbs_state_from_spectrum, partial_trace, reduced_state, zero_temperature_state
 
 from oracles import (
     bell_state,
@@ -235,6 +235,21 @@ def test_reduced_state_invariants_random_params():
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
         assert abs(np.trace(rho) - 1.0) < 1e-12
         assert np.linalg.eigvalsh(rho).min() > -1e-10
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_stack_matches_each_cell_alone(m):
+    # kept prefixes of different lengths in one stack: at t = 0.01 the first cell keeps the fewest
+    # levels; at t = 0 and 1e-15 eps = eta = 1 is degenerate (six-fold at m = 3) and (0.5, 0) has the
+    # vacuum ground state
+    couplings = [(3.0, -2.0), (1.0, 1.0), (0.5, 0.0), (-0.4, -1.7), (0.0, 0.0), (1.3, 0.7)]
+    cells = [SpinStarParams(m=m, omega=1.0, epsilon=eps, eta=eta) for eps, eta in couplings]
+    spectra = stacked_spectra(symmetry_hamiltonians(cells))
+    for temps in [(0.0, 1e-15), (0.01,), (0.3, 2.0)]:
+        stack = reduced_state(spectra, cells[0], temps)
+        assert stack.shape == (len(cells), len(temps), 2 ** m, 2 ** m)
+        for spec, params, states in zip(spectra, cells, stack):
+            assert np.array_equal(states, reduced_state([spec], params, temps)[0])
 
 
 def test_reduced_rejects_negative_temperature():
