@@ -48,15 +48,20 @@ def partial_transpose(rho: np.ndarray, part_a, n_qubits: int) -> np.ndarray:
     return tensor.transpose(perm).reshape(dim, dim)
 
 
-@lru_cache(maxsize=64)
-def _charge_blocks(n_qubits: int, part: tuple[int, ...]):
-    """One flat index into rho gathering the blocks of its partial transpose over part.
+@lru_cache(maxsize=64, typed=True)
+def _cut(shape: tuple, *part_a):
+    """(n_qubits, part, index, layout) of a square power-of-two shape cut by a proper subset part_a.
 
-    Returns the index and, per block size, the slice of the gathered values
-    holding those blocks and their (count, size, size) shape.  Where rho
-    conserves the excitation number, its partial transpose conserves the
-    charge q = popcount(rest bits) - popcount(part bits) = popcount(i) - 2*popcount(i & mask).
+    index is one flat index into rho gathering the blocks of its partial transpose over part; layout
+    holds, per block size, the slice of the gathered values holding those blocks and their
+    (count, size, size) shape.  Where rho conserves the excitation number, its partial transpose
+    conserves the charge q = popcount(rest bits) - popcount(part bits) = popcount(i) - 2*popcount(i & mask).
+    typed stops a float index from hitting a cached int's entry.
     """
+    n_qubits = qubit_count(shape)
+    part = qubit_subset(part_a, n_qubits)
+    if len(part) == n_qubits:
+        raise ValueError("part_a must be a proper subset of the qubits")
     dim = 2 ** n_qubits
     mask = sum(1 << (n_qubits - 1 - q) for q in part)
     excited = excitations(n_qubits)
@@ -73,20 +78,8 @@ def _charge_blocks(n_qubits: int, part: tuple[int, ...]):
     ends = np.cumsum([flat.size for flat in groups])
     index = np.concatenate([flat.ravel() for flat in groups], dtype=np.int32)  # 4^m < 2^31
     index.setflags(write=False)
-    return index, tuple((slice(end - flat.size, end), flat.shape) for flat, end in zip(groups, ends))
-
-
-@lru_cache(maxsize=64, typed=True)
-def _cut(shape: tuple, *part_a):
-    """(n_qubits, part, *_charge_blocks) of a square power-of-two shape cut by a proper subset part_a.
-
-    typed stops a float index from hitting a cached int's entry; equal subsets share _charge_blocks.
-    """
-    n_qubits = qubit_count(shape)
-    part = qubit_subset(part_a, n_qubits)
-    if len(part) == n_qubits:
-        raise ValueError("part_a must be a proper subset of the qubits")
-    return (n_qubits, part, *_charge_blocks(n_qubits, part))
+    return n_qubits, part, index, tuple((slice(end - flat.size, end), flat.shape)
+                                        for flat, end in zip(groups, ends))
 
 
 def negativity(rho: np.ndarray, part_a) -> float:
@@ -96,7 +89,7 @@ def negativity(rho: np.ndarray, part_a) -> float:
     around zero is snapped to exactly 0.  A value below -1e-9, or a trace
     off 1 by more than 1e-9 (or NaN), signals an invalid input state and
     raises NumericalInvariantError.  Each charge block (see
-    _charge_blocks) is diagonalized alone when an exact count puts every
+    _cut) is diagonalized alone when an exact count puts every
     nonzero entry of rho on them; else the whole transpose is one.
     """
     rho = np.asarray(rho)

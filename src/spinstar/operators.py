@@ -47,6 +47,10 @@ class SpinStarParams:
     eta: float
 
     def __post_init__(self):
+        try:
+            operator.index(self.m)
+        except TypeError:
+            raise ValueError(f"m must be an integer, got {self.m!r}") from None
         if self.m < 2:
             raise ValueError(f"need at least 2 peripheral spins, got m={self.m}")
         if self.m > MAX_M:

@@ -1,8 +1,9 @@
 """Deterministic parameter-grid sweeps over (epsilon, eta, t).
 
-Grid cells are pure functions of their inputs: a stack of them is diagonalized and its
-Gibbs states formed together (solve_stack), then each cell is evaluated (evaluate_cell); rows
-are written in canonical order (lexicographic by t, eta, epsilon), byte-identical across runs.
+Grid cells are pure functions of their inputs: each stack of them that fits MAX_STACK_BYTES is
+diagonalized with one call and its Gibbs states formed with another (solve_stack), then each cell is
+evaluated (evaluate_cell); rows are written in canonical order (lexicographic by t, eta, epsilon),
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -24,30 +26,26 @@ from .thermal import check_temperature, reduced_state
 # 500 B at m=11 (tracemalloc): this keeps a sweep's records under 0.5 GB.
 MAX_SWEEP_RECORDS = 10 ** 6
 
-# A stack holds about this many bytes.  A stacked eigh counts per cell its sector blocks,
-# C(2m+2, m+1) floats, plus a 4^m state (61 cells at m=3, one from m=6 on); a Gibbs stack, cells x
-# temperatures 4^m states.  1 MiB ran sweep-m3 0-9 % faster but raised its peak RSS from 35.3 to 38.6 MiB.
+# A stack holds about this many bytes: per cell, its sector blocks (C(2m+2, m+1) floats) and all its
+# states (4^m floats per temperature); 25 m=3 cells at four temperatures, one from m=5 on.  1 MiB ran
+# sweep-m3 0-9 % faster but raised its peak RSS from 35.3 to 38.6 MiB.
 MAX_STACK_BYTES = 64 * 1024
 
 
-def stacks(items, m: int) -> list:
-    """Cells in consecutive slices that fit MAX_STACK_BYTES, for one stacked_spectra call each."""
-    size = max(1, MAX_STACK_BYTES // (8 * (math.comb(2 * m + 2, m + 1) + 4 ** m)))
-    return [items[i:i + size] for i in range(0, len(items), size)]
-
-
 def solve_stack(cells, temps):
-    """Yield (spectrum, reduced states) per cell, from one stacked_spectra call and Gibbs stacks that
-    fit MAX_STACK_BYTES; a cell whose states alone overflow it yields them lazily, a few at a time."""
-    spectra = stacked_spectra(symmetry_hamiltonians(cells))
-    fit = max(1, MAX_STACK_BYTES // (8 * 4 ** cells[0].m))  # states in one Gibbs stack
-    size = fit // len(temps)
-    for i in range(0, len(spectra), max(1, size)):
+    """Yield (spectrum, reduced states) per cell, from one stacked_spectra and one reduced_state call per
+    stack of consecutive cells that fits MAX_STACK_BYTES; a lone cell that overflows it yields its
+    states lazily, as many temperatures per reduced_state call as fit."""
+    m = cells[0].m
+    size = MAX_STACK_BYTES // (8 * (math.comb(2 * m + 2, m + 1) + len(temps) * 4 ** m))
+    for i in range(0, len(cells), max(1, size)):
+        spectra = stacked_spectra(symmetry_hamiltonians(cells[i:i + max(1, size)]))
         if size:
-            yield from zip(spectra[i:i + size], reduced_state(spectra[i:i + size], cells[0], temps))
+            yield from zip(spectra, reduced_state(spectra, cells[0], temps))
         else:
-            yield spectra[i], (rho for j in range(0, len(temps), fit)
-                               for rho in reduced_state(spectra[i:i + 1], cells[0], temps[j:j + fit])[0])
+            fit = max(1, MAX_STACK_BYTES // (8 * 4 ** m))
+            yield spectra[0], (rho for j in range(0, len(temps), fit)
+                               for rho in reduced_state(spectra, cells[0], temps[j:j + fit])[0])
 
 
 @dataclass(frozen=True)
@@ -65,6 +63,10 @@ class SweepGrid:
             lo, hi, count = axis
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ValueError(f"{name} axis bounds must be finite, got {lo}:{hi}")
+            try:
+                operator.index(count)
+            except TypeError:
+                raise ValueError(f"{name} axis count must be an integer, got {count!r}") from None
             if count < 1:
                 raise ValueError(f"{name} axis needs count >= 1, got {count}")
             if lo > hi:
@@ -137,8 +139,8 @@ def sweep_records(grid: SweepGrid) -> list[SweepRecord]:
     temps = tuple(sorted(grid.temperatures))
     cells = [SpinStarParams(grid.m, grid.omega, eps, eta)
              for eta in axis_values(grid.eta_axis) for eps in eps_values]
-    per_cell = [evaluate_cell(spec, params, temps, states) for chunk in stacks(cells, grid.m)
-                for params, (spec, states) in zip(chunk, solve_stack(chunk, temps))]
+    per_cell = [evaluate_cell(spec, params, temps, states)
+                for params, (spec, states) in zip(cells, solve_stack(cells, temps))]
     return [cell[t_index] for t_index in range(len(temps)) for cell in per_cell]
 
 

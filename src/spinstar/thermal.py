@@ -101,12 +101,11 @@ def reduced_state(spectra, params: SpinStarParams, temperatures) -> np.ndarray:
     if any([block[0] for block in spec.blocks] != list(range(m + 2)) for spec in spectra):
         raise ValueError(f"expected the excitation-sector spectrum of an m={m} star")
     weights = _boltzmann(stack([spec.gaps for spec in spectra])[:, None], kts)
-    prefixes = zip(spectra, np.count_nonzero(weights.any(axis=1), axis=-1))  # each cell keeps a prefix
-    counts = np.max([np.bincount(spec.sector_labels[:n], minlength=m + 2) for spec, n in prefixes], axis=0)
-    cell, temp = np.arange(len(spectra))[:, None, None], np.arange(len(temperatures))[:, None]
-    sectors = [(stack([s.blocks[k][2][:, :n] for s in spectra])[:, None],
-                weights[cell, temp, stack([s.blocks[k][3][:n] for s in spectra])[:, None]][..., None, :])
-               for k, n in enumerate(counts)]
+    sectors = []
+    for k in range(m + 2):
+        w = np.take_along_axis(weights, stack([s.blocks[k][3] for s in spectra])[:, None], axis=-1)
+        n = np.count_nonzero(w.any(axis=(0, 1)))  # weights fall along a sector's levels: each state keeps a prefix
+        sectors.append((stack([s.blocks[k][2][:, :n] for s in spectra])[:, None], w[..., None, :n]))
     blocks, diagonal = [], np.zeros((*weights.shape[:2], 2 ** m))
     for j in range(m + 1):
         # the centre-0 rows of sector j (its first C(m, j)) and the centre-1 rows of sector j+1

@@ -18,6 +18,10 @@ def test_params_validation():
         SpinStarParams(m=3, omega=1.0, epsilon=float("nan"), eta=0.0)
     with pytest.raises(ValueError):
         SpinStarParams(m=3, omega=1.0, epsilon=0.0, eta=float("inf"))
+    # a non-integer size is refused up front, not by a TypeError deep in the sector build
+    for m in (3.0, 3.5, "3"):
+        with pytest.raises(ValueError, match="integer"):
+            SpinStarParams(m=m, omega=1.0, epsilon=0.0, eta=0.0)
 
 
 def test_free_hamiltonian_is_diagonal_popcount():

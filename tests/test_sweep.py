@@ -41,6 +41,12 @@ def test_grid_validation():
         small_grid(epsilon_axis=(0.0, 1.0, 0))
     with pytest.raises(ValueError):
         small_grid(eta_axis=(2.0, 1.0, 3))
+    with pytest.raises(ValueError, match="integer"):
+        small_grid(epsilon_axis=(0.0, 1.0, 2.5))
+    with pytest.raises(ValueError, match="integer"):
+        small_grid(eta_axis=(0.0, 1.0, 3.0))
+    with pytest.raises(ValueError, match="integer"):
+        small_grid(m=3.0)
     with pytest.raises(ValueError):
         small_grid(temperatures=())
     with pytest.raises(ValueError):
@@ -98,16 +104,19 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     assert texts[0] == texts[1]
 
 
-@pytest.mark.parametrize("m", [3, 5])
+@pytest.mark.parametrize("m", [3, 5, 7])
 def test_output_does_not_depend_on_the_stack_budget(monkeypatch, m):
-    # t = 0, t = 1e-15 and the degenerate epsilon = eta = 1 cells included
+    # t = 0, t = 1e-15 and the degenerate epsilon = eta = 1 cells included; m=7 solves its
+    # largest sectors in translation blocks
     grid = small_grid(m=m, epsilon_axis=(0.0, 2.0, 5), eta_axis=(0.0, 2.0, 3),
                       temperatures=(0.0, 1e-15, 0.3, 2.0))
-    texts, counts = [], []
+    texts, counts, calls, solve = [], [], [], sweep.stacked_spectra
+    monkeypatch.setattr(sweep, "stacked_spectra", lambda stacks: calls.append(1) or solve(stacks))
     for budget in (1, sweep.MAX_STACK_BYTES, 10 ** 9):
         monkeypatch.setattr(sweep, "MAX_STACK_BYTES", budget)
+        calls.clear()
         texts.append("\n".join(csv_lines(sweep_records(grid))))
-        counts.append(len(sweep.stacks(range(15), m)))
+        counts.append(len(calls))
     assert counts[0] == 15 and counts[2] == 1  # one cell per stack, then the whole grid in one
     assert texts[0] == texts[1] == texts[2]
     assert any(r.degenerate_cell and r.epsilon == r.eta == 1.0 for r in sweep_records(grid))
