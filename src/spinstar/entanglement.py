@@ -99,11 +99,14 @@ def negativity(rho: np.ndarray, part_a) -> float:
     if np.count_nonzero(gathered) != np.count_nonzero(rho):
         blocks = [partial_transpose(rho, part, n_qubits)]
     # a 1x1 block is its own eigenvalue; add.reduce skips ndarray.sum's Python wrapper
-    spectra = [np.linalg.eigvalsh(block) if block.shape[-1] > 1 else block.real for block in blocks]
+    try:
+        spectra = [np.linalg.eigvalsh(block) if block.shape[-1] > 1 else block.real for block in blocks]
+    except np.linalg.LinAlgError as exc:  # eigvalsh may not converge on a NaN or inf entry
+        raise NumericalInvariantError(f"partial transpose: {exc}; input is not a valid state") from exc
     raw = float(sum(np.add.reduce(np.abs(values), axis=None) for values in spectra)) - 1.0
-    if raw < NEGATIVITY_FLOOR:
+    if not raw >= NEGATIVITY_FLOOR:  # NaN fails too
         raise NumericalInvariantError(
-            f"negativity {raw:.3e} below the {NEGATIVITY_FLOOR} floor; input is not a valid state")
+            f"negativity {raw:.3e} fails the {NEGATIVITY_FLOOR} floor; input is not a valid state")
     trace = sum(rho.diagonal().real.tolist())  # the eigenvalues' sum; the floor misses an excess
     if not abs(trace - 1.0) <= -NEGATIVITY_FLOOR:  # NaN fails too
         raise NumericalInvariantError(f"trace {trace:.12g} is not 1; input is not a valid state")

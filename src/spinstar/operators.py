@@ -107,7 +107,8 @@ def build_hamiltonian(params: SpinStarParams) -> np.ndarray:
     """
     h = np.zeros((2 ** params.n_qubits,) * 2)
     for k, states, *terms in sector_terms(params.m):
-        h[states[:, None], states] = _stack([params], k, states.size, *terms)[0]
+        shift = params.omega * (k - (params.m + 1) / 2)
+        h[states[:, None], states] = _stack(shift, [[params.epsilon]], [[params.eta]], states.size, *terms)[0]
     return h
 
 
@@ -198,12 +199,11 @@ def translation_blocks(m: int, k: int) -> tuple[tuple[np.ndarray, np.ndarray, np
     return tuple(out)
 
 
-def _stack(cells, k: int, size: int, flat, central, ring) -> np.ndarray:
-    """Stack of omega*(k - (m+1)/2)*I + epsilon_i*central + eta_i*ring (raveled, at flat) per cell."""
-    epsilon, eta = np.array([[p.epsilon, p.eta] for p in cells]).T[:, :, None]  # each (cells, 1)
-    blocks = np.zeros((len(cells), size * size))
+def _stack(shift: float, epsilon, eta, size: int, flat, central, ring) -> np.ndarray:
+    """shift*I + epsilon_i*central + eta_i*ring (raveled, at flat) per row i of the (cells, 1) couplings."""
+    blocks = np.zeros((len(epsilon), size * size))
     blocks[:, flat] = epsilon * central.ravel() + eta * ring.ravel()
-    blocks[:, ::size + 1] += cells[0].omega * (k - (cells[0].m + 1) / 2)
+    blocks[:, ::size + 1] += shift
     return blocks.reshape(-1, size, size)
 
 
@@ -212,11 +212,16 @@ def symmetry_hamiltonians(cells):
 
     stack[i] = omega*(k - (m+1)/2)*I + epsilon_i*E_k + eta_i*R_k for the i-th SpinStarParams of
     cells; a sector of TRANSLATION_MIN_DIM states or more comes as a tuple of (columns,
-    coefficients, stack) parts instead, one per translation_blocks block.
+    coefficients, stack) parts instead, one per translation_blocks block.  ValueError if they do not.
     """
-    for k, states, *terms in sector_terms(cells[0].m):
+    m, omega = cells[0].m, cells[0].omega
+    if any(p.m != m or p.omega != omega for p in cells):
+        raise ValueError(f"the cells of a stack must share m={m} and omega={omega}")
+    epsilon, eta = np.array([[p.epsilon, p.eta] for p in cells]).T[:, :, None]  # each (cells, 1)
+    for k, states, *terms in sector_terms(m):
+        shift = omega * (k - (m + 1) / 2)
         if states.size < TRANSLATION_MIN_DIM:
-            yield k, states, _stack(cells, k, states.size, *terms)
+            yield k, states, _stack(shift, epsilon, eta, states.size, *terms)
         else:
-            yield k, states, tuple((q, c, _stack(cells, k, len(e), slice(None), e, r))
-                                   for q, c, e, r in translation_blocks(cells[0].m, k))
+            yield k, states, tuple((q, c, _stack(shift, epsilon, eta, len(e), slice(None), e, r))
+                                   for q, c, e, r in translation_blocks(m, k))

@@ -98,11 +98,6 @@ def stacked_spectra(stacks) -> list[SpectralDecomposition]:
             for i in range(len(values))]
 
 
-def eigh(op: np.ndarray) -> SpectralDecomposition:
-    """Full spectrum of a Hermitian matrix (checked to 1e-10) as one block with label 0."""
-    return stacked_spectra([(0, np.arange(len(op)), np.asarray(op)[None])])[0]
-
-
 def spectrum_blocked(op: np.ndarray) -> SpectralDecomposition:
     """Spectrum of a dense 2^n x 2^n operator from one diagonalization per excitation sector.
 

@@ -106,11 +106,6 @@ class SweepRecord:
         return row
 
 
-def axis_values(axis: tuple[float, float, int]) -> np.ndarray:
-    lo, hi, count = axis
-    return np.linspace(lo, hi, count)
-
-
 def evaluate_cell(spec: SpectralDecomposition, params: SpinStarParams,
                   temperatures, states) -> list[SweepRecord]:
     """One record per temperature for a coupling pair, from its spectrum and its states (see solve_stack)."""
@@ -135,10 +130,10 @@ def evaluate_point(params: SpinStarParams, t: float) -> SweepRecord:
 
 def sweep_records(grid: SweepGrid) -> list[SweepRecord]:
     """Evaluate every grid cell; rows ordered lexicographically by (t, eta, epsilon)."""
-    eps_values = axis_values(grid.epsilon_axis)
+    eps_values = np.linspace(*grid.epsilon_axis)
     temps = tuple(sorted(grid.temperatures))
     cells = [SpinStarParams(grid.m, grid.omega, eps, eta)
-             for eta in axis_values(grid.eta_axis) for eps in eps_values]
+             for eta in np.linspace(*grid.eta_axis) for eps in eps_values]
     per_cell = [evaluate_cell(spec, params, temps, states)
                 for params, (spec, states) in zip(cells, solve_stack(cells, temps))]
     return [cell[t_index] for t_index in range(len(temps)) for cell in per_cell]

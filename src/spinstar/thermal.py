@@ -95,17 +95,15 @@ def reduced_state(spectra, params: SpinStarParams, temperatures) -> np.ndarray:
     keeps; peripheral block j, the centre-0 part of sector j plus the centre-1 part of sector j+1, is
     symmetrized, and each state divided by its own trace.  No 2^(m+1) matrix is formed.
     """
-    def stack(arrays):  # a stack of one is a view: it copies no eigenvectors
-        return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
     kts, m = [check_temperature(t) * params.omega for t in temperatures], params.m
     if any([block[0] for block in spec.blocks] != list(range(m + 2)) for spec in spectra):
         raise ValueError(f"expected the excitation-sector spectrum of an m={m} star")
-    weights = _boltzmann(stack([spec.gaps for spec in spectra])[:, None], kts)
+    weights = _boltzmann(np.array([spec.gaps for spec in spectra])[:, None], kts)
     sectors = []
     for k in range(m + 2):
-        w = np.take_along_axis(weights, stack([s.blocks[k][3] for s in spectra])[:, None], axis=-1)
+        w = np.take_along_axis(weights, np.array([s.blocks[k][3] for s in spectra])[:, None], axis=-1)
         n = np.count_nonzero(w.any(axis=(0, 1)))  # weights fall along a sector's levels: each state keeps a prefix
-        sectors.append((stack([s.blocks[k][2][:, :n] for s in spectra])[:, None], w[..., None, :n]))
+        sectors.append((np.array([s.blocks[k][2][:, :n] for s in spectra])[:, None], w[..., None, :n]))
     blocks, diagonal = [], np.zeros((*weights.shape[:2], 2 ** m))
     for j in range(m + 1):
         # the centre-0 rows of sector j (its first C(m, j)) and the centre-1 rows of sector j+1
@@ -122,6 +120,5 @@ def reduced_state(spectra, params: SpinStarParams, temperatures) -> np.ndarray:
 
 
 def reduced_thermal_state(params: SpinStarParams, t: float) -> np.ndarray:
-    """Thermal state of the full star with the central spin traced out."""
-    check_temperature(t)
+    """Thermal state of the full star with the central spin traced out; t is checked by reduced_state."""
     return reduced_state([star_spectrum(params)], params, [t])[0, 0]

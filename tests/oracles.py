@@ -3,9 +3,13 @@
 Everything here manipulates explicit basis indices bit by bit, on purpose:
 the point is independence from the reshape/einsum code paths under test.
 Bit convention matches the library: qubit 0 is the most significant bit.
+The one exception is eigh, the dense full-space spectrum that the sector
+route is compared against.
 """
 
 import numpy as np
+
+from spinstar.spectra import SpectralDecomposition, stacked_spectra
 
 
 def bit_of(index, qubit, n_qubits):
@@ -37,6 +41,11 @@ def basis_vector(bits):
 def dm(vec):
     vec = np.asarray(vec, dtype=complex)
     return np.outer(vec, vec.conj())
+
+
+def eigh(op: np.ndarray) -> SpectralDecomposition:
+    """Full spectrum of a Hermitian matrix (checked to 1e-10) as one block with label 0."""
+    return stacked_spectra([(0, np.arange(len(op)), np.asarray(op)[None])])[0]
 
 
 def bell_state():

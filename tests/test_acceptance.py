@@ -23,7 +23,7 @@ from spinstar import (
     sweep_records,
 )
 from spinstar.operators import build_hamiltonian
-from spinstar.spectra import eigh, spectrum_blocked
+from spinstar.spectra import spectrum_blocked
 from spinstar.thermal import gibbs_state_from_spectrum, partial_trace, reduced_state
 
 from oracles import (
@@ -32,6 +32,7 @@ from oracles import (
     brute_partial_transpose,
     brute_star_hamiltonian,
     dm,
+    eigh,
     ghz_state,
     qubit_permutation_matrix,
     random_density,

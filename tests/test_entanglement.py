@@ -126,6 +126,22 @@ def test_negativity_floor_violation_raises():
         multipartite_negativity(3 * np.eye(8) / 8, 3)
 
 
+def _with_entry(dim, value):
+    rho = np.eye(dim) / dim
+    rho[0, 3] = rho[3, 0] = value
+    return rho
+
+
+@pytest.mark.parametrize("rho", [_with_entry(4, np.nan), _with_entry(4, np.inf), _with_entry(8, np.nan),
+                                 np.full((4, 4), np.nan)], ids=["nan", "inf", "nan-m3", "all-nan"])
+def test_non_finite_state_raises(rho):
+    # a NaN negativity fails the floor; an eigensolve that does not converge raises the same error
+    with pytest.raises(NumericalInvariantError):
+        negativity(rho, (0,))
+    with pytest.raises(NumericalInvariantError):
+        multipartite_negativity(rho, len(rho).bit_length() - 1)
+
+
 def test_multipartite_ghz():
     report = multipartite_negativity(dm(ghz_state()), 3)
     for value in report.per_cut:

@@ -2,7 +2,7 @@ import spinstar
 
 # the sector route and its results; the dense oracles (build_hamiltonian,
 # spectrum_blocked, gibbs_state_from_spectrum, zero_temperature_state,
-# partial_trace, eigh) are imported from their modules
+# partial_trace) are imported from their modules
 PUBLIC = {
     "GroundManifold", "NegativityReport", "NumericalInvariantError", "SpectralDecomposition",
     "SpinStarParams", "SweepGrid", "SweepRecord", "analytic_ground_state_m3",

@@ -8,9 +8,9 @@ from spinstar import (
     ground_manifold,
 )
 from spinstar.operators import build_hamiltonian
-from spinstar.spectra import eigh, spectrum_blocked
+from spinstar.spectra import spectrum_blocked
 
-from oracles import random_unitary
+from oracles import eigh, random_unitary
 
 
 def star(m, omega, eps, eta):

@@ -9,13 +9,14 @@ from spinstar import (
     star_spectrum,
 )
 from spinstar.operators import build_hamiltonian, symmetry_hamiltonians
-from spinstar.spectra import eigh, spectrum_blocked, stacked_spectra
+from spinstar.spectra import spectrum_blocked, stacked_spectra
 from spinstar.thermal import gibbs_state_from_spectrum, partial_trace, reduced_state, zero_temperature_state
 
 from oracles import (
     bell_state,
     brute_partial_trace,
     dm,
+    eigh,
     qubit_permutation_matrix,
     random_density,
 )
@@ -250,6 +251,14 @@ def test_stack_matches_each_cell_alone(m):
         assert stack.shape == (len(cells), len(temps), 2 ** m, 2 ** m)
         for spec, params, states in zip(spectra, cells, stack):
             assert np.array_equal(states, reduced_state([spec], params, temps)[0])
+
+
+@pytest.mark.parametrize("other", [SpinStarParams(m=3, omega=2.0, epsilon=1.0, eta=0.5),
+                                   SpinStarParams(m=4, omega=1.0, epsilon=1.0, eta=0.5)])
+def test_stack_rejects_mixed_m_or_omega(other):
+    cells = [SpinStarParams(m=3, omega=1.0, epsilon=1.0, eta=0.5), other]
+    with pytest.raises(ValueError, match="share m"):
+        stacked_spectra(symmetry_hamiltonians(cells))
 
 
 def test_reduced_rejects_negative_temperature():
