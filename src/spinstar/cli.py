@@ -8,6 +8,7 @@ Exit codes: 0 on success, 2 on invalid arguments or unwritable output,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -138,6 +139,7 @@ def _add_common(parser: argparse.ArgumentParser, point: bool = True) -> None:
                         help="output file, '-' for stdout (default)")
 
 
+@functools.cache  # built once per process: argparse takes about 1 ms to add the four subcommands
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinstar",

@@ -1,5 +1,6 @@
 """Partial transpose, bipartite negativity, and the multipartite negativity
-defined as the geometric mean over all one-spin-versus-rest cuts."""
+defined as the geometric mean over all one-spin-versus-rest cuts, of packed
+states (operators.packed_positions) or dense matrices."""
 
 from __future__ import annotations
 
@@ -9,13 +10,20 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import excitations, qubit_count, qubit_subset
+from . import operators
+from .operators import excitations, packed_entries, packed_positions, packed_qubits, qubit_count, qubit_subset
 
 # Values in [NEGATIVITY_FLOOR, ZERO_SNAP] are floating-point noise around an
 # exact zero and are reported as 0; anything below the floor means the input
 # was not a valid state and must surface as an error, not be clamped away.
 NEGATIVITY_FLOOR = -1e-9
 ZERO_SNAP = 1e-12
+
+# A reflection-split charge block drops its even/odd coupling only where that
+# moves the block's trace norm by at most this (see _spectra).  The ring states of
+# thermal.reduced_state stay below 2e-14 at m=8..11 (epsilon = 1.3, eta = 0.7, the
+# crossing epsilon = eta = 1 and two random pairs on [0, 10]; t = 0, 0.01, 0.1, 1, 5).
+REFLECTION_TOL = 1e-12
 
 
 class NumericalInvariantError(RuntimeError):
@@ -49,65 +57,130 @@ def partial_transpose(rho: np.ndarray, part_a, n_qubits: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64, typed=True)
-def _cut(shape: tuple, *part_a):
-    """(n_qubits, part, index, layout) of a square power-of-two shape cut by a proper subset part_a.
+def _cut(n_qubits: int, min_dim: int, *part_a):
+    """(part, index, diagonal, layout) of the cut part_a of a packed state (operators.packed_positions).
 
-    index is one flat index into rho gathering the blocks of its partial transpose over part; layout
-    holds, per block size, the slice of the gathered values holding those blocks and their
-    (count, size, size) shape.  Where rho conserves the excitation number, its partial transpose
-    conserves the charge q = popcount(rest bits) - popcount(part bits) = popcount(i) - 2*popcount(i & mask).
-    typed stops a float index from hitting a cached int's entry.
+    Where rho conserves the excitation number, its partial transpose over part conserves the charge
+    q = popcount(rest bits) - popcount(part bits) = popcount(i) - 2*popcount(i & mask), and its charge
+    blocks hold each packed entry once: index gathers them all, row-major, one block after the other.
+    diagonal gathers rho's diagonal in basis-index order.  layout holds, per stack of equal blocks, its
+    slice of the gathered values, its (count, size, size) shape and its split.  The ring reflection
+    j -> 2p - j (mod n_qubits) fixes spin p, so it commutes with the transpose over p and keeps q; for a
+    one-spin cut a block of at least min_dim states is ordered (pairs, fixed points, their partners),
+    with split (pairs, fixed points), and any other block ascending, with split None.  Stacks come in
+    the order of their first charge, blocks in charge order.  typed stops a float index from hitting a
+    cached int's entry.
     """
-    n_qubits = qubit_count(shape)
     part = qubit_subset(part_a, n_qubits)
     if len(part) == n_qubits:
         raise ValueError("part_a must be a proper subset of the qubits")
-    dim = 2 ** n_qubits
+    dim, spins = 2 ** n_qubits, np.arange(n_qubits)
+    states, excited = np.arange(dim), excitations(n_qubits)
     mask = sum(1 << (n_qubits - 1 - q) for q in part)
-    excited = excitations(n_qubits)
-    charge = excited - 2 * excited[np.arange(dim) & mask]
-    by_size = {}
-    for q in range(-len(part), n_qubits - len(part) + 1):
-        rows = np.flatnonzero(charge == q)
-        by_size.setdefault(rows.size, []).append(rows)
-    groups = []
-    for rows in by_size.values():
-        r, c = np.stack(rows)[:, :, None], np.stack(rows)[:, None, :]
-        # <ab| rho^T_A |a'b'> = <a'b| rho |ab'>: swap the part bits of row and column
-        groups.append(((r & ~mask) | (c & mask)) * dim + ((c & ~mask) | (r & mask)))
-    ends = np.cumsum([flat.size for flat in groups])
-    index = np.concatenate([flat.ravel() for flat in groups], dtype=np.int32)  # 4^m < 2^31
-    index.setflags(write=False)
-    return n_qubits, part, index, tuple((slice(end - flat.size, end), flat.shape)
-                                        for flat, end in zip(groups, ends))
+    charge = excited - 2 * excited[states & mask] + len(part)  # q + len(part): 0 .. n_qubits
+    # each state with spin j's bit moved to spin 2p - j; only a one-spin cut reads it
+    mirrored = ((states[:, None] >> (n_qubits - 1 - spins) & 1)
+                << (n_qubits - 1 - (2 * part[0] - spins) % n_qubits)).sum(axis=1)
+    sizes = np.bincount(charge, minlength=n_qubits + 1)
+    fixed = np.bincount(charge, states == mirrored, n_qubits + 1).astype(int)
+    split = (sizes >= min_dim) & (len(part) == 1) & (fixed < sizes)  # a block without pairs stays whole
+    # one stack per (size, split), in the order of its first charge
+    _, first, kind = np.unique(sizes * (dim + 1) + np.where(split, fixed, -1), return_index=True,
+                               return_inverse=True)
+    stack = np.argsort(first).argsort()[kind.ravel()]
+    order = np.argsort(stack, kind="stable")  # the charges in block order
+    block = order.argsort()[charge]  # each state's place in block order
+    pairing = split[charge]
+    side = np.where(pairing, np.sign(states - mirrored) + 1, 0)  # 0 pair, 1 fixed point, 2 partner
+    rows = np.lexsort((np.where(pairing, np.minimum(states, mirrored), states), side, block))
+    # <ab| rho^T_A |a'b'> = <a'b| rho |ab'>: swap the part bits of row and column
+    base, rank = (array.astype(np.int32) for array in packed_positions(n_qubits))  # C(2n, n) < 2^31
+    rest, own = rows & ~mask, rows & mask
+    pieces, layout, rows_done, entries_done = [], [], 0, 0
+    for members in np.split(order, np.cumsum(np.bincount(stack))[:-1]):  # the blocks of one stack
+        q, count = members[0], members.size
+        size = int(sizes[q])
+        span = slice(rows_done, rows_done + count * size)
+        row, column = rest[span].reshape(count, size, 1), own[span].reshape(count, size, 1)
+        pieces.append((base.take(row | column.swapaxes(1, 2))
+                       + rank.take(row.swapaxes(1, 2) | column)).ravel())
+        layout.append((slice(entries_done, entries_done + count * size * size), (count, size, size),
+                       (int(sizes[q] - fixed[q]) // 2, int(fixed[q])) if split[q] else None))
+        rows_done, entries_done = rows_done + count * size, entries_done + count * size * size
+    index, diagonal = np.concatenate(pieces), base + rank
+    for array in (index, diagonal):
+        array.setflags(write=False)
+    return part, index, diagonal, tuple(layout)
+
+
+def _eigvalsh(blocks):
+    # a 1x1 block is its own eigenvalue
+    return np.linalg.eigvalsh(blocks) if blocks.shape[-1] > 1 else blocks.real
+
+
+def _spectra(blocks, split) -> list:
+    """Eigenvalues of a (count, size, size) stack of charge blocks with the split of _cut.
+
+    A split block B, ordered (pairs, fixed points, partners), is diagonalized in the reflection-even
+    basis (a + b)/sqrt(2), f and the odd one (a - b)/sqrt(2), from sums and differences of its
+    contiguous parts, when the coupling X between them passes 2 sqrt(pairs) ||X||_F <= REFLECTION_TOL
+    summed over the stack.  Dropping X moves the trace norm by at most ||[[0, X], [X^H, 0]]||_1 =
+    2 ||X||_1, and X has rank at most pairs.  Else, or unsplit, each block is diagonalized whole.
+    """
+    if split is not None:
+        p, f = split
+        top, bottom = blocks[:, :p] + blocks[:, p + f:], blocks[:, :p] - blocks[:, p + f:]
+        middle = blocks[:, p:p + f]
+        # X's rows on the pair sums, doubled, and on the fixed points, times sqrt(2)
+        pairs, fixed = top[..., :p] - top[..., p + f:], middle[..., :p] - middle[..., p + f:]
+        coupling = math.sqrt(np.vdot(pairs, pairs).real / 4 + np.vdot(fixed, fixed).real / 2)
+        if 2 * math.sqrt(p) * coupling <= REFLECTION_TOL:  # NaN fails too
+            # twice the even block, as the odd one below
+            even = np.empty((len(blocks), p + f, p + f), blocks.dtype)
+            np.add(top[..., :p], top[..., p + f:], out=even[:, :p, :p])
+            np.multiply(top[..., p:p + f], math.sqrt(2), out=even[:, :p, p:])
+            np.multiply(middle[..., :p] + middle[..., p + f:], math.sqrt(2), out=even[:, p:, :p])
+            np.multiply(middle[..., p:p + f], 2.0, out=even[:, p:, p:])
+            return [0.5 * _eigvalsh(even), 0.5 * _eigvalsh(bottom[..., :p] - bottom[..., p + f:])]
+    return [_eigvalsh(blocks)]
 
 
 def negativity(rho: np.ndarray, part_a) -> float:
     """Sum of |eigenvalues| of the partial transpose, minus one.
 
+    rho is a packed state (operators.packed_positions) or a dense matrix.
     Zero for states that stay positive under partial transposition.  Noise
     around zero is snapped to exactly 0.  A value below -1e-9, or a trace
     off 1 by more than 1e-9 (or NaN), signals an invalid input state and
-    raises NumericalInvariantError.  Each charge block (see
-    _cut) is diagonalized alone when an exact count puts every
-    nonzero entry of rho on them; else the whole transpose is one.
+    raises NumericalInvariantError.  A dense matrix is packed when an exact
+    count puts every nonzero entry in its excitation blocks; else its whole
+    transpose is diagonalized.  A packed state's charge blocks (see _cut)
+    are diagonalized alone, or as their reflection-even and -odd parts (see _spectra).
     """
     rho = np.asarray(rho)
-    n_qubits, part, index, layout = _cut(rho.shape, *part_a)
-    gathered = rho.take(index)
-    blocks = [gathered[span].reshape(shape) for span, shape in layout]
-    if np.count_nonzero(gathered) != np.count_nonzero(rho):
-        blocks = [partial_transpose(rho, part, n_qubits)]
-    # a 1x1 block is its own eigenvalue; add.reduce skips ndarray.sum's Python wrapper
+    if rho.ndim == 1:
+        n_qubits, packed = packed_qubits(rho.shape), rho
+    else:
+        n_qubits = qubit_count(rho.shape)
+        packed = rho.take(packed_entries(n_qubits))
+    part, index, diagonal, layout = _cut(n_qubits, operators.SYMMETRY_MIN_DIM, *part_a)
+    whole = packed is not rho and np.count_nonzero(packed) != np.count_nonzero(rho)
     try:
-        spectra = [np.linalg.eigvalsh(block) if block.shape[-1] > 1 else block.real for block in blocks]
+        if whole:
+            spectra = [np.linalg.eigvalsh(partial_transpose(rho, part, n_qubits))]
+        else:
+            gathered = packed.take(index)
+            spectra = [values for span, shape, split in layout
+                       for values in _spectra(gathered[span].reshape(shape), split)]
     except np.linalg.LinAlgError as exc:  # eigvalsh may not converge on a NaN or inf entry
         raise NumericalInvariantError(f"partial transpose: {exc}; input is not a valid state") from exc
+    # add.reduce skips ndarray.sum's Python wrapper
     raw = float(sum(np.add.reduce(np.abs(values), axis=None) for values in spectra)) - 1.0
     if not raw >= NEGATIVITY_FLOOR:  # NaN fails too
         raise NumericalInvariantError(
             f"negativity {raw:.3e} fails the {NEGATIVITY_FLOOR} floor; input is not a valid state")
-    trace = sum(rho.diagonal().real.tolist())  # the eigenvalues' sum; the floor misses an excess
+    # the eigenvalues' sum, in basis-index order; the floor misses an excess
+    trace = sum((rho.diagonal() if whole else packed.take(diagonal)).real.tolist())
     if not abs(trace - 1.0) <= -NEGATIVITY_FLOOR:  # NaN fails too
         raise NumericalInvariantError(f"trace {trace:.12g} is not 1; input is not a valid state")
     if raw <= ZERO_SNAP:
@@ -124,8 +197,9 @@ def multipartite_negativity(rho: np.ndarray, m: int) -> NegativityReport:
     if m < 2:
         raise ValueError(f"need at least 2 spins, got m={m}")
     rho = np.asarray(rho)
-    if rho.shape != (2 ** m, 2 ** m):
-        raise ValueError(f"expected a {2 ** m}x{2 ** m} matrix for m={m}, got {rho.shape}")
+    if rho.shape not in ((2 ** m, 2 ** m), (math.comb(2 * m, m),)):
+        raise ValueError(f"expected a {2 ** m}x{2 ** m} matrix or a packed state of {math.comb(2 * m, m)} "
+                         f"entries for m={m}, got {rho.shape}")
     values = tuple(negativity(rho, (k,)) for k in range(m))
     if min(values) == 0.0:
         mean = 0.0

@@ -16,8 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-# A whole negativity --t 0.1 process takes 0.30 s and 39 MiB at m=9, 0.48 s and
-# 61 MiB at m=10, and 1.4 s and 144 MiB at m=11 on a 2-vCPU machine; the largest
+# A whole negativity --t 0.1 process takes 0.30 s and 38 MiB at m=9, 0.47 s and
+# 56 MiB at m=10, and 0.89 s and 117 MiB at m=11 on a 2-vCPU machine; the largest
 # excitation-sector block of H has C(m+1, (m+1)//2) rows.
 MAX_M = 11
 
@@ -26,10 +26,13 @@ MAX_M = 11
 # their differences, so every step stays far from the float64 range.
 MAX_ENERGY = 1e150
 
-# Sectors of at least this dimension are solved in ring-translation blocks.  One
-# sector's build and solve, single-threaded, direct against blocks: 0.41 against
-# 0.48 ms at d=55, 0.67 against 0.60 ms at d=66, 0.75 against 0.53 ms at d=70.
-TRANSLATION_MIN_DIM = 60
+# Sectors of at least this dimension are solved in ring-translation blocks, and a
+# one-spin cut's charge blocks of at least this dimension are split by the ring
+# reflection that fixes the cut spin (entanglement.negativity), from m=7 and m=8
+# on respectively.  One sector's build and solve, single-threaded, direct against
+# blocks: 0.41 against 0.48 ms at d=55, 0.67 against 0.60 ms at d=66, 0.75 against
+# 0.53 ms at d=70.
+SYMMETRY_MIN_DIM = 60
 
 
 @dataclass(frozen=True)
@@ -95,6 +98,52 @@ def excitations(n_qubits: int) -> np.ndarray:
     return (np.arange(2 ** n_qubits)[:, None] >> np.arange(n_qubits) & 1).sum(axis=1)
 
 
+# the packed sizes that entanglement's int32 cut index can address: C(2n, n) < 2^31 up to n = 15
+_PACKED_QUBITS = {(math.comb(2 * n, n),): n for n in range(1, 16)}
+
+
+@lru_cache(maxsize=16)
+def packed_positions(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(base, rank) over the basis indices of the packed layout; cached, read-only.
+
+    A matrix that conserves the excitation number is packed as its n_qubits+1
+    excitation blocks (the basis indices with j excitations, ascending), each
+    raveled row-major, one after the other by j: C(2n, n) entries.  rank is an
+    index's place in its block, and entry (i, j) of a block sits at base[i] + rank[j].
+    """
+    excited = excitations(n_qubits)
+    sizes = np.bincount(excited)
+    order = np.argsort(excited, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    base = (np.cumsum(sizes ** 2) - sizes ** 2)[excited] + rank * sizes[excited]
+    for array in (base, rank):
+        array.setflags(write=False)
+    return base, rank
+
+
+@lru_cache(maxsize=16)
+def packed_entries(n_qubits: int) -> np.ndarray:
+    """Flat index i * 2^n + j in the dense matrix of each packed entry; cached, read-only."""
+    rank, excited = packed_positions(n_qubits)[1], excitations(n_qubits)
+    order = np.argsort(excited, kind="stable")  # the basis indices in block order
+    width = np.bincount(excited)[excited[order]]  # each row's block size
+    rows = np.repeat(order, width)
+    first = np.repeat(np.arange(order.size) - rank[order], width)  # where each row's block starts in order
+    cols = order[first + np.arange(rows.size) - np.repeat(np.cumsum(width) - width, width)]
+    entries = rows * 2 ** n_qubits + cols
+    entries.setflags(write=False)
+    return entries
+
+
+def packed_qubits(shape) -> int:
+    """n for a packed (C(2n, n),) shape (see packed_positions); ValueError for any other shape."""
+    n = _PACKED_QUBITS.get(tuple(shape), -1)
+    if n < 1:
+        raise ValueError(f"expected a packed state of C(2n, n) entries, got shape {tuple(shape)}")
+    return n
+
+
 def build_hamiltonian(params: SpinStarParams) -> np.ndarray:
     """Dense spin-star Hamiltonian: the sector_terms blocks placed in the full space.
 
@@ -123,25 +172,29 @@ def sector_terms(m: int) -> tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray,
     counts its one bond both ways.
     """
     n = m + 1
-    bonds = ([(0, q) for q in range(1, m + 1)], [(q, q % m + 1) for q in range(1, m + 1)])
-    excited, out = excitations(n), []
-    for k in range(n + 1):
+    bonds = np.array([(0, q) for q in range(1, m + 1)] + [(q, q % m + 1) for q in range(1, m + 1)])
+    excited, (base, rank) = excitations(n), packed_positions(n)
+    # each (bond, state) whose two bits differ hops to the state with both bits flipped
+    bits = np.arange(2 ** n) >> (n - 1 - bonds[:, :, None]) & 1
+    bond, source = np.nonzero(bits[:, 0] != bits[:, 1])
+    target = source ^ (1 << (n - 1 - bonds[bond])).sum(axis=1)
+    if not np.array_equal(excited[target], excited[source]):
+        raise AssertionError("a hop leaves its excitation sector")
+    # entry (target, source) of its sector's block sits at base[target] + rank[source] in the packed
+    # layout, where the sectors' row-major blocks follow one another: the positions sort by (k, flat)
+    where, slot = np.unique(base[target] + rank[source], return_inverse=True)
+    on_ring = bond >= m  # the first m bonds are the centre's
+    central, ring = (np.bincount(slot.ravel(), term, where.size) for term in (~on_ring, on_ring))
+    sizes = np.bincount(excited)
+    starts = np.cumsum(sizes ** 2) - sizes ** 2
+    cut = np.searchsorted(where, starts)
+    out = []
+    for k, (lo, hi) in enumerate(zip(cut, [*cut[1:], where.size])):
         states = np.flatnonzero(excited == k)
-        counts = np.zeros((2, states.size ** 2))
-        for term, pairs in enumerate(bonds):
-            for a, b in pairs:
-                bit_a, bit_b = 1 << (n - 1 - a), 1 << (n - 1 - b)
-                source = np.flatnonzero(((states & bit_a) == 0) != ((states & bit_b) == 0))
-                target = states[source] ^ (bit_a | bit_b)
-                row = np.searchsorted(states, target)
-                if not np.array_equal(states.take(row, mode="clip"), target):
-                    raise AssertionError(f"a hop leaves excitation sector {k}")
-                counts[term, row * states.size + source] += 1.0
-        flat = np.flatnonzero(counts.any(axis=0))
-        central, ring = counts[:, flat]
-        for array in (states, flat, central, ring):
+        entries = (where[lo:hi] - starts[k], central[lo:hi], ring[lo:hi])
+        for array in (states, *entries):
             array.setflags(write=False)
-        out.append((k, states, flat, central, ring))
+        out.append((k, states, *entries))
     return tuple(out)
 
 
@@ -211,7 +264,7 @@ def symmetry_hamiltonians(cells):
     """Yield (k, states, stack) for k = 0..m+1, stacked over cells sharing m and omega, for stacked_spectra.
 
     stack[i] = omega*(k - (m+1)/2)*I + epsilon_i*E_k + eta_i*R_k for the i-th SpinStarParams of
-    cells; a sector of TRANSLATION_MIN_DIM states or more comes as a tuple of (columns,
+    cells; a sector of SYMMETRY_MIN_DIM states or more comes as a tuple of (columns,
     coefficients, stack) parts instead, one per translation_blocks block.  ValueError if they do not.
     """
     m, omega = cells[0].m, cells[0].omega
@@ -220,7 +273,7 @@ def symmetry_hamiltonians(cells):
     epsilon, eta = np.array([[p.epsilon, p.eta] for p in cells]).T[:, :, None]  # each (cells, 1)
     for k, states, *terms in sector_terms(m):
         shift = omega * (k - (m + 1) / 2)
-        if states.size < TRANSLATION_MIN_DIM:
+        if states.size < SYMMETRY_MIN_DIM:
             yield k, states, _stack(shift, epsilon, eta, states.size, *terms)
         else:
             yield k, states, tuple((q, c, _stack(shift, epsilon, eta, len(e), slice(None), e, r))

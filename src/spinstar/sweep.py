@@ -27,8 +27,9 @@ from .thermal import check_temperature, reduced_state
 MAX_SWEEP_RECORDS = 10 ** 6
 
 # A stack holds about this many bytes: per cell, its sector blocks (C(2m+2, m+1) floats) and all its
-# states (4^m floats per temperature); 25 m=3 cells at four temperatures, one from m=5 on.  1 MiB ran
-# sweep-m3 0-9 % faster but raised its peak RSS from 35.3 to 38.6 MiB.
+# packed states (C(2m, m) floats per temperature); at four temperatures 54 m=3 cells, 4 at m=5 and
+# one at m=6, and a lone cell overflows it from m=7 on.
+# 1 MiB, with 4^m-float states, ran sweep-m3 0-9 % faster but raised its peak RSS from 35.3 to 38.6 MiB.
 MAX_STACK_BYTES = 64 * 1024
 
 
@@ -37,13 +38,14 @@ def solve_stack(cells, temps):
     stack of consecutive cells that fits MAX_STACK_BYTES; a lone cell that overflows it yields its
     states lazily, as many temperatures per reduced_state call as fit."""
     m = cells[0].m
-    size = MAX_STACK_BYTES // (8 * (math.comb(2 * m + 2, m + 1) + len(temps) * 4 ** m))
+    per_state = math.comb(2 * m, m)
+    size = MAX_STACK_BYTES // (8 * (math.comb(2 * m + 2, m + 1) + len(temps) * per_state))
     for i in range(0, len(cells), max(1, size)):
         spectra = stacked_spectra(symmetry_hamiltonians(cells[i:i + max(1, size)]))
         if size:
             yield from zip(spectra, reduced_state(spectra, cells[0], temps))
         else:
-            fit = max(1, MAX_STACK_BYTES // (8 * 4 ** m))
+            fit = max(1, MAX_STACK_BYTES // (8 * per_state))
             yield spectra[0], (rho for j in range(0, len(temps), fit)
                                for rho in reduced_state(spectra, cells[0], temps[j:j + fit])[0])
 

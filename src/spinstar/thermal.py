@@ -1,5 +1,6 @@
 """Gibbs states of the full network, their zero-temperature limit, and the reduction
-to the peripheral spins, formed for a stack of cells x temperatures at once (reduced_state).
+to the peripheral spins, formed as packed states for a stack of cells x temperatures at once
+(reduced_state).
 
 Temperatures are dimensionless, t = k_B T / (hbar omega); t = 0 selects the
 uniform mixture over the (possibly degenerate) ground manifold, which is the
@@ -12,7 +13,8 @@ import math
 
 import numpy as np
 
-from .operators import SpinStarParams, qubit_subset, symmetry_hamiltonians
+from .operators import (SpinStarParams, packed_entries, packed_positions, packed_qubits, qubit_subset,
+                        symmetry_hamiltonians)
 from .spectra import SpectralDecomposition, stacked_spectra
 
 # Boltzmann weights below this, relative to the ground level's 1, are dropped.
@@ -87,38 +89,58 @@ def star_spectrum(params: SpinStarParams) -> SpectralDecomposition:
 
 
 def reduced_state(spectra, params: SpinStarParams, temperatures) -> np.ndarray:
-    """Gibbs states with the central spin traced out, a (cells, temperatures, 2^m, 2^m) stack.
+    """Gibbs states with the central spin traced out, packed: a (cells, temperatures, C(2m, m)) stack.
 
-    spectra come from one stacked_spectra call, of cells sharing params.m and params.omega.  Of sector
-    k's Gibbs block V_k diag(w) V_k^T only the centre-0 part (its first C(m, k) states) and the centre-1
-    part are formed, one product over all cells x temperatures each, from the eigenvectors that any cell
-    keeps; peripheral block j, the centre-0 part of sector j plus the centre-1 part of sector j+1, is
-    symmetrized, and each state divided by its own trace.  No 2^(m+1) matrix is formed.
+    spectra come from one stacked_spectra call, of cells sharing params.m and params.omega; ValueError
+    if their sector 0, the vacuum, does not sit at -(m+1)*omega/2.  Of sector k's Gibbs block
+    V_k diag(w) V_k^T only the centre-0 part (its first C(m, k) states) and the centre-1 part are formed,
+    one product over all cells x temperatures each, from the eigenvectors that any cell keeps; peripheral
+    block j, the centre-0 part of sector j plus the centre-1 part of sector j+1, is symmetrized and
+    written to its place in the packed layout (operators.packed_positions), and each state divided by
+    its own trace.  No 2^m x 2^m matrix is formed.
     """
     kts, m = [check_temperature(t) * params.omega for t in temperatures], params.m
     if any([block[0] for block in spec.blocks] != list(range(m + 2)) for spec in spectra):
         raise ValueError(f"expected the excitation-sector spectrum of an m={m} star")
-    weights = _boltzmann(np.array([spec.gaps for spec in spectra])[:, None], kts)
-    sectors = []
-    for k in range(m + 2):
-        w = np.take_along_axis(weights, np.array([s.blocks[k][3] for s in spectra])[:, None], axis=-1)
-        n = np.count_nonzero(w.any(axis=(0, 1)))  # weights fall along a sector's levels: each state keeps a prefix
-        sectors.append((np.array([s.blocks[k][2][:, :n] for s in spectra])[:, None], w[..., None, :n]))
-    blocks, diagonal = [], np.zeros((*weights.shape[:2], 2 ** m))
+    vacuum = np.array([spec.eigenvalues[spec.blocks[0][3][0]] for spec in spectra])
+    if not np.all(abs(vacuum + (m + 1) * params.omega / 2) <= 1e-12 * (m + 1) * params.omega):
+        raise ValueError(f"the spectra's vacuum levels {vacuum} are not -(m+1)*omega/2 "
+                         f"for omega={params.omega}")
+    # each sector's levels in its own order: a stable sort by label, since ranks ascend within a sector
+    order = np.array([spec.sector_labels for spec in spectra]).argsort(axis=-1, kind="stable")
+    gaps = np.take_along_axis(np.array([spec.gaps for spec in spectra]), order, axis=-1)
+    weights = _boltzmann(gaps[:, None], kts)
+    sizes = np.array([math.comb(m + 1, k) for k in range(m + 2)])
+    starts = np.cumsum(sizes) - sizes
+    # weights fall along a sector's levels, so each state keeps a prefix of them
+    kept = np.add.reduceat(weights.any(axis=(0, 1)), starts)
+    sectors = [(np.array([s.blocks[k][2][:, :n] for s in spectra])[:, None],
+                weights[..., None, start:start + n]) for k, (start, n) in enumerate(zip(starts, kept))]
+    base, rank = packed_positions(m)
+    rho = np.empty((*weights.shape[:2], math.comb(2 * m, m)))
     for j in range(m + 1):
         # the centre-0 rows of sector j (its first C(m, j)) and the centre-1 rows of sector j+1
         (low, low_w), (high, high_w) = sectors[j], sectors[j + 1]
-        low, high = low[..., :math.comb(m, j), :], high[..., math.comb(m, j + 1):, :]
+        size = math.comb(m, j)
+        low, high = low[..., :size, :], high[..., math.comb(m, j + 1):, :]
         block = (low * low_w) @ low.swapaxes(-1, -2) + (high * high_w) @ high.swapaxes(-1, -2)
-        blocks.append((spectra[0].blocks[j][1][:math.comb(m, j)], 0.5 * (block + block.swapaxes(-1, -2))))
-        diagonal[..., blocks[-1][0]] = blocks[-1][1].diagonal(axis1=-2, axis2=-1)
-    trace = diagonal.sum(axis=-1)[..., None, None]  # the trace of rho, summed in index order
-    rho = np.zeros((*diagonal.shape, 2 ** m))
-    for states, block in blocks:  # the rest of rho is 0 and needs no division
-        rho[..., states[:, None], states] = block / trace
+        start = base[(1 << j) - 1]  # the block's least state, all j excitations in the lowest bits
+        out = rho[..., start:start + size * size].reshape(*rho.shape[:-1], size, size)
+        np.add(block, block.swapaxes(-1, -2), out=out)
+        out *= 0.5
+    rho /= rho.take(base + rank, axis=-1).sum(axis=-1)[..., None]  # the diagonal, summed in basis-index order
     return rho
 
 
+def unpack(packed) -> np.ndarray:
+    """The dense 2^m x 2^m matrix of each packed state (see operators.packed_positions) in a stack."""
+    packed = np.asarray(packed)
+    m = packed_qubits(packed.shape[-1:])
+    dense = np.zeros((*packed.shape[:-1], 4 ** m), packed.dtype)
+    dense[..., packed_entries(m)] = packed
+    return dense.reshape(*packed.shape[:-1], 2 ** m, 2 ** m)
+
+
 def reduced_thermal_state(params: SpinStarParams, t: float) -> np.ndarray:
-    """Thermal state of the full star with the central spin traced out; t is checked by reduced_state."""
-    return reduced_state([star_spectrum(params)], params, [t])[0, 0]
+    """Dense thermal state of the full star with the central spin traced out; reduced_state checks t."""
+    return unpack(reduced_state([star_spectrum(params)], params, [t])[0, 0])

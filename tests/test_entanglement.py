@@ -114,6 +114,17 @@ def test_negativity_rejects_improper_partition():
             negativity(np.eye(8) / 8, part)
 
 
+def test_packed_state_of_wrong_length_raises():
+    # a packed state holds C(2m, m) entries: 6 at m=2, 20 at m=3
+    for size in (0, 5, 7, 19, 21):
+        with pytest.raises(ValueError, match="packed"):
+            negativity(np.full(size, 0.1), (0,))
+    with pytest.raises(ValueError):
+        multipartite_negativity(np.full(20, 0.05), 4)
+    with pytest.raises(ValueError):
+        negativity(np.ones((2, 20)), (0,))
+
+
 def test_negativity_floor_violation_raises():
     # sub-normalized input drives sum(|lam|) - 1 below the -1e-9 floor
     rho = np.eye(4, dtype=complex) / 4 * (1.0 - 2e-9)

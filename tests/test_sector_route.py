@@ -1,7 +1,8 @@
 """The sector-native evaluation path against the dense oracles.
 
 star_spectrum, reduced_state and negativity never form a 2^(m+1)-dimensional
-matrix.  The oracles do: build_hamiltonian, spectrum_blocked,
+matrix, and reduced_state returns its states packed (thermal.unpack gives the
+dense matrix).  The oracles do: build_hamiltonian, spectrum_blocked,
 gibbs_state_from_spectrum and partial_trace, imported from their modules.
 build_hamiltonian places the sector_terms blocks at their states, so it is
 pinned to the bit-flip oracle, and the states to the excitation partition.
@@ -11,10 +12,10 @@ import numpy as np
 import pytest
 
 from spinstar import SpinStarParams, ground_manifold, negativity, star_spectrum
-from spinstar import operators
+from spinstar import entanglement, operators
 from spinstar.operators import build_hamiltonian, sector_terms, symmetry_hamiltonians
 from spinstar.spectra import level_energies, spectrum_blocked, stacked_spectra
-from spinstar.thermal import gibbs_state_from_spectrum, partial_trace, reduced_state
+from spinstar.thermal import gibbs_state_from_spectrum, partial_trace, reduced_state, unpack
 
 from oracles import brute_partial_transpose, brute_star_hamiltonian, restrict_to_sector
 
@@ -46,12 +47,14 @@ def test_sector_route_matches_dense_reference(m):
         assert np.max(np.abs(spec.eigenvalues - dense.eigenvalues)) <= 1e-12 * scale
         assert ground_manifold(spec).degeneracy == ground_manifold(dense).degeneracy
 
-        [[rho]] = reduced_state([spec], params, [t])
+        [[packed]] = reduced_state([spec], params, [t])
+        rho = unpack(packed)
         reference = partial_trace(gibbs_state_from_spectrum(dense, t), range(1, n), n)
         assert np.max(np.abs(rho - reference)) <= 1e-12
         for k in range(m):
             oracle = np.sum(np.abs(np.linalg.eigvalsh(brute_partial_transpose(rho, (k,), m)))) - 1
             assert abs(negativity(rho, (k,)) - oracle) <= 1e-12
+            assert negativity(packed, (k,)) == negativity(rho, (k,))
 
 
 def test_stack_orders_each_cell_as_alone():
@@ -76,7 +79,8 @@ def test_stack_orders_each_cell_as_alone():
 def test_translation_blocks_match_dense_route(m, monkeypatch):
     # every sector in ring-translation blocks: short orbits (m=4 0101; m=6 periods 2 and 3)
     # and the m=2 ring's doubled bond
-    monkeypatch.setattr(operators, "TRANSLATION_MIN_DIM", 1)
+    # and every one-spin cut's charge blocks split by the ring reflection
+    monkeypatch.setattr(operators, "SYMMETRY_MIN_DIM", 1)
     n = m + 1
     for epsilon, eta, t in [(1.0, 1.0, 0.0)] + points(m):
         params = SpinStarParams(m=m, omega=1.0, epsilon=epsilon, eta=eta)
@@ -86,8 +90,54 @@ def test_translation_blocks_match_dense_route(m, monkeypatch):
         scale = np.max(np.abs(dense.eigenvalues))
         assert np.max(np.abs(spec.eigenvalues - dense.eigenvalues)) <= 1e-12 * scale
         assert ground_manifold(spec).degeneracy == ground_manifold(dense).degeneracy
-        [[rho]] = reduced_state([spec], params, [t])
+        [[packed]] = reduced_state([spec], params, [t])
+        rho = unpack(packed)
         reference = partial_trace(gibbs_state_from_spectrum(dense, t), range(1, n), n)
         assert np.max(np.abs(rho - reference)) <= 1e-12
         for k in range(m):
             assert abs(negativity(rho, (k,)) - negativity(reference, (k,))) <= 1e-12
+            oracle = np.sum(np.abs(np.linalg.eigvalsh(brute_partial_transpose(rho, (k,), m)))) - 1
+            assert abs(negativity(packed, (k,)) - oracle) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [3, 5, 7])
+def test_packed_and_dense_states_give_identical_cuts(m):
+    # below the split threshold the packed route gathers the blocks the dense one does
+    params = SpinStarParams(m=m, omega=1.0, epsilon=1.3, eta=0.7)
+    for packed in reduced_state([star_spectrum(params)], params, [0.0, 0.1, 5.0])[0]:
+        rho = unpack(packed)
+        assert np.array_equal(rho.take(operators.packed_entries(m)), packed)
+        for k in range(m):
+            assert negativity(packed, (k,)) == negativity(rho, (k,))
+
+
+@pytest.mark.parametrize("m", [8, 9])
+def test_reflection_split_at_the_default_threshold(m, monkeypatch):
+    # the 70-state charge blocks at m=8, the 84- and 126-state ones at m=9, split against unsplit
+    params = SpinStarParams(m=m, omega=1.0, epsilon=1.3, eta=0.7)
+    states = reduced_state([star_spectrum(params)], params, [0.0, 0.1])[0]
+    split = [[negativity(packed, (k,)) for k in range(m)] for packed in states]
+    monkeypatch.setattr(operators, "SYMMETRY_MIN_DIM", 10 ** 9)
+    whole = [[negativity(packed, (k,)) for k in range(m)] for packed in states]
+    assert np.max(np.abs(np.subtract(split, whole))) <= 1e-12
+
+
+def test_reflection_breaking_state_is_diagonalized_whole(monkeypatch):
+    # a ring state mixed with an excitation-conserving state that no reflection fixes
+    m, rng = 4, np.random.default_rng(15)
+    monkeypatch.setattr(operators, "SYMMETRY_MIN_DIM", 1)
+    params = SpinStarParams(m=m, omega=1.0, epsilon=1.3, eta=0.7)
+    ring = unpack(reduced_state([star_spectrum(params)], params, [0.3])[0, 0])
+    noise = np.zeros_like(ring)
+    for j in range(m + 1):
+        states = [i for i in range(2 ** m) if i.bit_count() == j]
+        root = rng.normal(size=(len(states), len(states)))
+        noise[np.ix_(states, states)] = root @ root.T
+    rho = 0.8 * ring + 0.2 * noise / np.trace(noise)
+    oracles = [np.sum(np.abs(np.linalg.eigvalsh(brute_partial_transpose(rho, (k,), m)))) - 1
+               for k in range(m)]
+    for k in range(m):
+        assert abs(negativity(rho, (k,)) - oracles[k]) <= 1e-12
+    # forced through the split, the same cuts are wrong
+    monkeypatch.setattr(entanglement, "REFLECTION_TOL", np.inf)
+    assert max(abs(negativity(rho, (k,)) - oracles[k]) for k in range(m)) > 1e-6

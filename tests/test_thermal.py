@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -248,7 +250,7 @@ def test_stack_matches_each_cell_alone(m):
     spectra = stacked_spectra(symmetry_hamiltonians(cells))
     for temps in [(0.0, 1e-15), (0.01,), (0.3, 2.0)]:
         stack = reduced_state(spectra, cells[0], temps)
-        assert stack.shape == (len(cells), len(temps), 2 ** m, 2 ** m)
+        assert stack.shape == (len(cells), len(temps), math.comb(2 * m, m))
         for spec, params, states in zip(spectra, cells, stack):
             assert np.array_equal(states, reduced_state([spec], params, temps)[0])
 
@@ -259,6 +261,15 @@ def test_stack_rejects_mixed_m_or_omega(other):
     cells = [SpinStarParams(m=3, omega=1.0, epsilon=1.0, eta=0.5), other]
     with pytest.raises(ValueError, match="share m"):
         stacked_spectra(symmetry_hamiltonians(cells))
+
+
+def test_reduced_state_rejects_spectra_of_another_omega():
+    # the vacuum level, sector 0, is -(m+1)*omega/2: omega=2 spectra with omega=1 params are caught
+    cell = SpinStarParams(m=3, omega=2.0, epsilon=1.0, eta=0.5)
+    spectra = stacked_spectra(symmetry_hamiltonians([cell]))
+    with pytest.raises(ValueError, match="vacuum"):
+        reduced_state(spectra, SpinStarParams(m=3, omega=1.0, epsilon=1.0, eta=0.5), [0.1])
+    assert reduced_state(spectra, cell, [0.1]).shape == (1, 1, math.comb(6, 3))
 
 
 def test_reduced_rejects_negative_temperature():
