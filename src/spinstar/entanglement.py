@@ -102,8 +102,13 @@ def _cut(n_qubits: int, min_dim: int, *part_a):
         size = int(sizes[q])
         span = slice(rows_done, rows_done + count * size)
         row, column = rest[span].reshape(count, size, 1), own[span].reshape(count, size, 1)
-        pieces.append((base.take(row | column.swapaxes(1, 2))
-                       + rank.take(row.swapaxes(1, 2) | column)).ravel())
+        if len(part) == 1:  # own is 0 or mask: each entry picks one of two gathered columns
+            for rest_b, own_b in zip(row.reshape(count, size), column.reshape(count, size) // mask):
+                both = np.stack([rest_b, rest_b | mask])
+                pieces.append((base.take(both).T[:, own_b] + rank.take(both)[own_b]).ravel())
+        else:
+            pieces.append((base.take(row | column.swapaxes(1, 2))
+                           + rank.take(row.swapaxes(1, 2) | column)).ravel())
         layout.append((slice(entries_done, entries_done + count * size * size), (count, size, size),
                        (int(sizes[q] - fixed[q]) // 2, int(fixed[q])) if split[q] else None))
         rows_done, entries_done = rows_done + count * size, entries_done + count * size * size
@@ -169,7 +174,7 @@ def negativity(rho: np.ndarray, part_a) -> float:
         if whole:
             spectra = [np.linalg.eigvalsh(partial_transpose(rho, part, n_qubits))]
         else:
-            gathered = packed.take(index)
+            gathered = packed[index]  # indexing: take converts the int32 index first, 2.5x slower at m=9
             spectra = [values for span, shape, split in layout
                        for values in _spectra(gathered[span].reshape(shape), split)]
     except np.linalg.LinAlgError as exc:  # eigvalsh may not converge on a NaN or inf entry

@@ -13,12 +13,13 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-# A whole negativity --t 0.1 process takes 0.30 s and 38 MiB at m=9, 0.47 s and
-# 56 MiB at m=10, and 0.89 s and 117 MiB at m=11 on a 2-vCPU machine; the largest
-# excitation-sector block of H has C(m+1, (m+1)//2) rows.
+# A whole negativity --t 0.1 process takes 0.21-0.28 s and 37 MiB at m=9, 0.35 s and
+# 48 MiB at m=10, and 0.53-0.59 s and 93 MiB at m=11 on a 2-vCPU machine; the largest
+# excitation sector, C(m+1, (m+1)//2) states, is solved in dihedral blocks.
 MAX_M = 11
 
 # SpinStarParams rejects a norm bound (m+1)*omega/2 + m*(|epsilon|+|eta|) of H
@@ -26,7 +27,7 @@ MAX_M = 11
 # their differences, so every step stays far from the float64 range.
 MAX_ENERGY = 1e150
 
-# Sectors of at least this dimension are solved in ring-translation blocks, and a
+# Sectors of at least this dimension are solved in dihedral blocks (dihedral_blocks), and a
 # one-spin cut's charge blocks of at least this dimension are split by the ring
 # reflection that fixes the cut spin (entanglement.negativity), from m=7 and m=8
 # on respectively.  One sector's build and solve, single-threaded, direct against
@@ -198,58 +199,168 @@ def sector_terms(m: int) -> tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray,
     return tuple(out)
 
 
-@lru_cache(maxsize=64)
-def translation_blocks(m: int, k: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]:
-    """(columns, coefficients, E, R) per real ring-translation block of sector k; cached, read-only.
+def _ring_turns(states: np.ndarray, m: int) -> np.ndarray:
+    """Each state turned r = 0..m-1 times around the ring (spin j to spin j + r), as an (m, states) array."""
+    periphery, shifts = (1 << m) - 1, np.arange(m)[:, None]
+    return (states & ~periphery) | ((states & periphery) >> shifts | states << (m - shifts)) & periphery
 
-    The ring rotation commutes with H and splits the sector into orbits.  An
-    orbit of period L takes momentum kappa when kappa*L = 0 (mod m): kappa = 0
-    and m/2 give it one cosine column, each +-kappa pair a cosine and a sine
-    (Sandvik, arXiv:1101.3281).  Row s of a block's basis Q holds
-    coefficients[s] at columns[s]; E = Q^T E_k Q and R = Q^T R_k Q.  Raises
-    AssertionError unless the basis is orthonormal and E_k Q = Q E, R_k Q = Q R, to 1e-12.
+
+@lru_cache(maxsize=64)
+def ring_orbits(m: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """(least, fill) for the m-spin states with j excitations, ascending; cached, read-only.
+
+    least holds the places of the ring rotation's orbits' least states.  A matrix G on these states
+    that the rotation keeps, G[T s, T s'] = G[s, s'], is G[least] raveled and taken at fill, an
+    (states, states) index: G[s, s'] = G[a, T^r s'] where T^r s = a is its orbit's least state.
+    """
+    states = np.flatnonzero(excitations(m) == j)
+    turns = _ring_turns(states, m)
+    least, orbit = np.unique(turns.min(axis=0), return_inverse=True)
+    fill = orbit.reshape(-1, 1) * states.size + np.searchsorted(states, turns)[turns.argmin(axis=0)]
+    least = np.searchsorted(states, least)
+    for array in (least, fill):
+        array.setflags(write=False)
+    return least, fill
+
+
+class DihedralBlocks(NamedTuple):
+    """A sector's real dihedral blocks (see dihedral_blocks); every array read-only.
+
+    Copy c of the sector's basis carries the eigenvectors of solved block solved[c]: its row s holds
+    coefficients[s, c] at columns[s, c], at most two entries.  The sector's eigenpairs come copy after
+    copy, each in its block's order; slots holds each one's place p * width + i among the solved
+    blocks' eigenpairs padded to (blocks, width), and copies its copy.  groups holds, per size of
+    solved block, (the blocks of that size, their E and R stacked).
+    """
+
+    columns: np.ndarray  # (states, copies, 2)
+    coefficients: np.ndarray  # (states, copies, 2)
+    solved: np.ndarray  # (copies,)
+    slots: np.ndarray  # (states,)
+    copies: np.ndarray  # (states,)
+    width: int
+    groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+
+@lru_cache(maxsize=64)
+def dihedral_blocks(m: int, k: int) -> DihedralBlocks:
+    """Sector k in real blocks of the ring's rotation T (spin j to j+1) and reflection R (j to -j); cached.
+
+    Both commute with H and fix the centre.  T splits the sector into orbits, and an orbit of period L
+    carries momentum kappa when kappa*L = 0 (mod m).  R maps an orbit's cosine and sine states (Sandvik,
+    arXiv:1101.3281) to those of its mirror orbit, and kappa to -kappa.  So for 0 < kappa < m/2 the
+    R-even combinations, one per orbit, give one block that is solved, and J = (T - T^-1) / (2 sin
+    2pi kappa/m), which commutes with H and maps them onto the R-odd ones, gives its partner copy with
+    the same spectrum.  kappa = 0 and m/2 split into an R-even and an R-odd block.  Each row of a copy
+    holds at most two entries, built from the orbits' least states in O(states * m), and E = Q^T E_k Q,
+    R = Q^T R_k Q come from the hops.  Raises AssertionError unless the basis is orthonormal on each
+    orbit and its mirror, and E_k Q = Q E, R_k Q = Q R hold on each orbit's least state, to 1e-12.
     """
     _, states, flat, central, ring = sector_terms(m)[k]
-    d, periphery, shifts = states.size, (1 << m) - 1, np.arange(m)[:, None]
-    turns = (states & ~periphery) | ((states & periphery) >> shifts | states << (m - shifts)) & periphery
+    d, turns = states.size, _ring_turns(states, m)
     period = np.vstack([turns[1:] == states, np.ones(d, bool)]).argmax(axis=0) + 1
-    orbit = np.unique(turns.min(axis=0), return_inverse=True)[1].ravel()
+    least, orbit = np.unique(turns.min(axis=0), return_inverse=True)
+    orbit, least = orbit.ravel(), np.searchsorted(states, least)
     position = -turns.argmin(axis=0) % period  # the state is its orbit's least one turned this far
-    blocks = []
+    # R = T after reversing the ring bits: each orbit's mirror orbit, turned `shift` from its least state
+    bits = np.arange(m)
+    flipped = ((states[least] & ~((1 << m) - 1))
+               | ((states[least, None] >> bits & 1) << (m - 1 - bits)).sum(axis=1))
+    mirror = np.searchsorted(states, _ring_turns(flipped, m)[1])
+    partner, shift = orbit[mirror][orbit], position[mirror][orbit]
+    lower, upper, alone = orbit < partner, orbit > partner, orbit == partner
+    group = np.minimum(orbit, partner)
+    copies, block = [], 0  # (solved block, columns, coefficients, each column's orbit group); a counter
+
+    def columns_of(owns):  # a column per orbit that owns one, in orbit order
+        return np.cumsum(owns[least]) - 1, group[least][owns[least]]
+
     for kappa in range(m // 2 + 1):
         allowed = kappa * period % m == 0
-        p = 1 if 2 * kappa % m == 0 else 2  # kappa = 0 or m/2: cosines alone
-        rank = np.cumsum(np.bincount(orbit, allowed) > 0) - 1
-        angle = 2 * np.pi * (kappa * position % m) / m
-        columns = np.where(allowed[:, None], rank[orbit, None] + [0, rank[-1] + 1], 0)
-        phases = np.stack([np.cos(angle), np.sin(angle)], axis=1) * np.sqrt(allowed * p / period)[:, None]
-        if rank[-1] >= 0:
-            blocks.append((columns[:, :p], phases[:, :p]))
-    sizes = [columns.max() + 1 for columns, _ in blocks]
-    index = np.concatenate([c + offset for (c, _), offset in zip(blocks, np.cumsum([0] + sizes))], axis=1)
-    weight = np.concatenate([w for _, w in blocks], axis=1)
-    gram = np.bincount((index[:, :, None] * d + index[:, None, :]).ravel(),
-                       (weight[:, :, None] * weight[:, None, :]).ravel(), d * d)
-    gram[::d + 1] -= 1.0
-    if sum(sizes) != d or np.max(np.abs(gram)) > 1e-12:
-        raise AssertionError(f"the translation basis of sector {k} is not orthonormal")
+        if not allowed.any():
+            continue
+        special = 2 * kappa % m == 0  # kappa = 0 or m/2: cosines alone
+        # psi in units of pi/m: the state's angle, less the mirror's for an upper orbit, half of it if alone
+        phase = np.where(lower, 2 * kappa * position,
+                         np.where(upper, 2 * kappa * (position - shift), kappa * (2 * position - shift)))
+        angle = np.pi * (phase % (2 * m)) / m
+        c, s = np.cos(angle), np.sin(angle)
+        scale = np.where(alone, math.sqrt(2), 1.0) / np.sqrt(period * (2 if special else 1))
+        if special:
+            even = alone & (kappa * shift % m == 0)  # R keeps the cosine state of an orbit alone
+            for owns, owner, value in ((allowed & (lower | even), group, c),
+                                       (allowed & (upper | alone & ~even), np.maximum(orbit, partner),
+                                        np.where(lower, -c, np.where(upper, c, s)))):
+                if not owns.any():
+                    continue
+                rank, owned = columns_of(owns)
+                used = allowed & (~alone | owns)
+                columns = np.stack([np.where(used, rank[owner], 0), np.zeros(d, int)], axis=1)
+                coefficients = np.stack([np.where(used, value * scale, 0.0), np.zeros(d)], axis=1)
+                copies.append((block, columns, coefficients, owned))
+                block += 1
+        else:
+            rank, owned = columns_of(allowed)
+            columns = np.where(allowed[:, None], np.stack([rank[orbit], rank[partner]], axis=1), 0)
+            # each entry (lower, upper, alone) of the R-even copy, then of its partner J Q
+            for first, second in (((c, -s, c), (s, c, 0.0)), ((s, c, s), (-c, s, 0.0))):
+                values = [np.where(lower, a, np.where(upper, b, e)) for a, b, e in (first, second)]
+                coefficients = np.where(allowed[:, None], np.stack(values, axis=1) * scale[:, None], 0.0)
+                copies.append((block, columns, coefficients, owned))
+            block += 1
+    solved = np.array([p for p, *_ in copies])
+    columns, coefficients = (np.stack([copy[i] for copy in copies], axis=1) for i in (1, 2))
+    owner = np.concatenate([copy[3] for copy in copies])  # the orbit group of each column of Q
+    sizes = np.array([copy[3].size for copy in copies])
+    # orthonormal on each orbit group: one square matrix per group, its states' rows on its columns
+    offsets = np.cumsum(sizes) - sizes
+    entries = (columns + offsets[:, None]).reshape(d, -1)  # each entry's column of Q
+    state, entry = np.nonzero(coefficients.reshape(d, -1))
+    span = np.bincount(owner, minlength=orbit.max() + 1)  # each group's columns
+    if (np.any(owner[entries[state, entry]] != group[state])
+            or np.any(np.bincount(group, minlength=span.size) != span)):
+        raise AssertionError(f"the dihedral basis of sector {k} does not keep its orbit groups")
+    place, line = np.empty(d, int), np.empty(d, int)  # each column's and each state's place in its group
+    for array, key in ((place, owner), (line, group)):
+        array[np.argsort(key, kind="stable")] = np.arange(d) - np.repeat(np.cumsum(span) - span, span)
+    blocks = np.zeros((span.size, span.max(), span.max()))
+    values = coefficients.reshape(d, -1)[state, entry]
+    blocks[group[state], line[state], place[entries[state, entry]]] = values
+    gram = blocks.swapaxes(1, 2) @ blocks - (np.arange(span.max()) < span[:, None, None]) * np.eye(span.max())
+    if np.max(np.abs(gram)) > 1e-12:
+        raise AssertionError(f"the dihedral basis of sector {k} is not orthonormal")
     row, col = np.divmod(flat, d)
-    out = []
-    for (columns, coefficients), b in zip(blocks, sizes):
-        basis = np.zeros((d, b))
-        np.put_along_axis(basis, columns, coefficients, axis=1)
-        # X Q from the hops (row, col) of X = E_k, R_k: Q (Q^T X Q) = X Q when X keeps Q's span
-        targets = (row[:, None] * b + columns[col]).ravel()
-        moved = np.stack([np.bincount(targets, (x[:, None] * coefficients[col]).ravel(), d * b)
-                          for x in (central, ring)], dtype=float).reshape(2, d, b)
-        terms = basis.T @ moved
-        terms = 0.5 * (terms + terms.swapaxes(1, 2))
-        if np.max(np.abs(moved - basis @ terms)) > 1e-12:
-            raise AssertionError(f"translation block of sector {k} does not reconstruct its terms")
-        for array in (columns, coefficients, terms):
-            array.setflags(write=False)
-        out.append((columns, coefficients, *terms))
-    return tuple(out)
+    width, first = int(sizes.max()), np.flatnonzero(np.diff(solved, prepend=-1))  # each block's first copy
+    # Q^T X Q = U + U^T per solved block, U from the hops (row < col) of X = E_k, R_k: <= 4 entries each
+    q, e, half = columns[:, first], coefficients[:, first], row < col
+    keys = ((np.arange(first.size)[:, None] * width + q[row[half]])[..., :, None] * width
+            + q[col[half]][..., None, :]).ravel()
+    products = (e[row[half]][..., :, None] * e[col[half]][..., None, :]).reshape(-1, 4 * first.size)
+    terms = np.stack([np.bincount(keys, (x[half, None] * products).ravel(), first.size * width ** 2)
+                      for x in (central, ring)]).reshape(2, first.size, width, width)
+    terms += terms.swapaxes(-1, -2).copy()
+    # X Q = Q (Q^T X Q) on each orbit's least state, for every copy
+    at_least = np.full(d, -1)
+    at_least[least] = np.arange(least.size)
+    hop = at_least[row] >= 0  # the hops out of each orbit's least state
+    keys = (((at_least[row[hop], None] * solved.size + np.arange(solved.size))[..., None] * width
+             + columns[col[hop]]).ravel())
+    for x, term in zip((central, ring), terms):
+        moved = np.bincount(keys, (x[hop, None, None] * coefficients[col[hop]]).ravel(),
+                            least.size * solved.size * width)
+        rebuilt = sum(coefficients[least][..., i, None] * term[solved, columns[least][..., i]]
+                      for i in range(2))
+        if np.max(np.abs(moved.reshape(rebuilt.shape) - rebuilt)) > 1e-12:
+            raise AssertionError(f"a dihedral block of sector {k} does not reconstruct its terms")
+    copy = np.repeat(np.arange(solved.size), sizes)
+    slots = solved[copy] * width + np.arange(d) - np.repeat(offsets, sizes)
+    # one eigh call per block size (a plain np.unique would import numpy.ma, 26 ms, on numpy 2.4)
+    part = sizes[first]
+    groups = tuple((np.flatnonzero(part == b), *terms[:, part == b, :b, :b])
+                   for b in sorted(set(part.tolist())))
+    for array in (columns, coefficients, solved, slots, copy, *(a for group in groups for a in group)):
+        array.setflags(write=False)
+    return DihedralBlocks(columns, coefficients, solved, slots, copy, width, groups)
 
 
 def _stack(shift: float, epsilon, eta, size: int, flat, central, ring) -> np.ndarray:
@@ -264,8 +375,8 @@ def symmetry_hamiltonians(cells):
     """Yield (k, states, stack) for k = 0..m+1, stacked over cells sharing m and omega, for stacked_spectra.
 
     stack[i] = omega*(k - (m+1)/2)*I + epsilon_i*E_k + eta_i*R_k for the i-th SpinStarParams of
-    cells; a sector of SYMMETRY_MIN_DIM states or more comes as a tuple of (columns,
-    coefficients, stack) parts instead, one per translation_blocks block.  ValueError if they do not.
+    cells; a sector of SYMMETRY_MIN_DIM states or more comes as (dihedral_blocks(m, k), [(cells, blocks,
+    size, size) stack per group of its solved blocks]) instead.  ValueError if they do not.
     """
     m, omega = cells[0].m, cells[0].omega
     if any(p.m != m or p.omega != omega for p in cells):
@@ -276,5 +387,6 @@ def symmetry_hamiltonians(cells):
         if states.size < SYMMETRY_MIN_DIM:
             yield k, states, _stack(shift, epsilon, eta, states.size, *terms)
         else:
-            yield k, states, tuple((q, c, _stack(shift, epsilon, eta, len(e), slice(None), e, r))
-                                   for q, c, e, r in translation_blocks(m, k))
+            blocks = dihedral_blocks(m, k)
+            yield k, states, (blocks, [epsilon[..., None, None] * e + eta[..., None, None] * r
+                                       + shift * np.eye(len(e[0])) for _, e, r in blocks.groups])

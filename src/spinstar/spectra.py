@@ -19,20 +19,35 @@ class SpectralDecomposition:
 
     eigenvalues ascend, exact ties in block order; sector_labels holds each
     one's block label and gaps its level energy minus the lowest.  blocks holds
-    (label, states, eigenvectors over states, ranks of their eigenvalues).
+    (label, states, dihedral, eigenvectors) per block: dihedral None and the
+    eigenvectors over states, or the sector's operators.DihedralBlocks and its
+    solved blocks' eigenvectors, padded to (blocks, width, width).  ranks holds
+    the place in eigenvalues of each block's eigenvalues, block after block, in
+    the order _eigh returns them.
     """
 
-    def __init__(self, eigenvalues, sector_labels, gaps, blocks):
+    def __init__(self, eigenvalues, sector_labels, gaps, ranks, blocks):
         self.dim = eigenvalues.size
         self.eigenvalues, self.sector_labels = eigenvalues, sector_labels
-        self.gaps, self.blocks = gaps, blocks
+        self.gaps, self.ranks, self.blocks = gaps, ranks, blocks
 
     def vectors(self, count: int) -> np.ndarray:
         """The eigenvectors of the count lowest eigenvalues, as columns in the full space."""
-        out = np.zeros((self.dim, count), dtype=self.blocks[0][2].dtype)
-        for _, states, vectors, ranks in self.blocks:
-            kept = int(ranks.searchsorted(count))  # ranks ascend within a block
-            out[states[:, None], ranks[:kept]] = vectors[:, :kept]
+        out = np.zeros((self.dim, count), dtype=self.blocks[0][3].dtype)
+        start = 0
+        for _, states, dihedral, vectors in self.blocks:
+            ranks = self.ranks[start:start + states.size]
+            start += states.size
+            kept = np.flatnonzero(ranks < count)
+            if dihedral is not None:
+                # each kept eigenvector through its copy's basis: <= 2 of its entries per state
+                block, i = np.divmod(dihedral.slots[kept], dihedral.width)
+                copy = dihedral.copies[kept]
+                picked = vectors[block[:, None], dihedral.columns[:, copy], i[:, None]]
+                vectors = np.einsum("snj,snj->sn", picked, dihedral.coefficients[:, copy])
+                ranks = ranks[kept]
+                kept = slice(None)
+            out[states[:, None], ranks[kept]] = vectors[:, kept]
         return out
 
 
@@ -62,39 +77,37 @@ def _hermitian(op: np.ndarray) -> np.ndarray:
 
 
 def _eigh(stack):
-    """Ascending eigenpairs of a (cells, d, d) stack or of a sector's translation-block parts."""
+    """(dihedral, eigenvalues, eigenvectors) of a (cells, d, d) stack, dihedral None, ascending, or of
+    a sector's (DihedralBlocks, [stack per group of equal solved blocks]): its eigenvalues copy after
+    copy, and its solved blocks' eigenvectors padded to (cells, blocks, width, width)."""
     if isinstance(stack, np.ndarray):
-        return np.linalg.eigh(_hermitian(stack))
-    values, rows = [], []
-    for columns, coefficients, blocks in stack:
-        w, u = np.linalg.eigh(_hermitian(blocks))
-        u = u.swapaxes(-1, -2)  # eigenvectors as rows: Q u gathers the basis's <= 2 entries per state
-        values.append(w)
-        rows.append(sum(u[..., i] * c for i, c in zip(columns.T, coefficients.T)))
-    values = np.concatenate(values, axis=-1)
-    order = values.argsort(axis=-1)
-    rows = np.concatenate(rows, axis=-2)[np.arange(len(order))[:, None], order]
-    return np.take_along_axis(values, order, axis=-1), rows.swapaxes(-1, -2)
+        return None, *np.linalg.eigh(_hermitian(stack))
+    dihedral, groups = stack
+    values = np.zeros((len(groups[0]), dihedral.solved.max() + 1, dihedral.width))
+    vectors = np.zeros((*values.shape, dihedral.width))
+    for (same, *_), group in zip(dihedral.groups, groups):
+        b = group.shape[-1]
+        values[:, same, :b], vectors[:, same, :b, :b] = np.linalg.eigh(_hermitian(group))
+    return dihedral, values.reshape(len(values), -1)[:, dihedral.slots], vectors
 
 
 def stacked_spectra(stacks) -> list[SpectralDecomposition]:
     """One SpectralDecomposition per cell from the (label, states, stack) blocks of symmetry_hamiltonians.
 
-    Each stack, or part of one, is checked by _hermitian and solved by one eigh call; the
-    spectra are then sorted and leveled at once.
+    Each stack, or group of equal solved dihedral blocks, is checked by _hermitian and solved by one
+    eigh call; the spectra are then sorted and leveled at once.
     """
     solved = [(k, states, *_eigh(stack)) for k, states, stack in stacks]
-    values = np.concatenate([w for _, _, w, _ in solved], axis=-1)
+    values = np.concatenate([w for *_, w, _ in solved], axis=-1)
     if values.shape[-1] == 0:
         raise ValueError("empty spectral decomposition")
     order = values.argsort(axis=-1, kind="stable")  # exact ties stay in block order
-    sizes = [w.shape[-1] for _, _, w, _ in solved]
-    ranks = np.split(order.argsort(axis=-1), np.cumsum(sizes)[:-1], axis=-1)
+    ranks = order.argsort(axis=-1)
     values = np.take_along_axis(values, order, axis=-1)
-    labels = np.repeat([k for k, _, _, _ in solved], sizes)[order]
+    labels = np.repeat([k for k, *_ in solved], [w.shape[-1] for *_, w, _ in solved])[order]
     gaps = level_energies(values) - values[:, :1]
-    return [SpectralDecomposition(values[i], labels[i], gaps[i],
-                                  [(k, states, v[i], r[i]) for (k, states, _, v), r in zip(solved, ranks)])
+    return [SpectralDecomposition(values[i], labels[i], gaps[i], ranks[i],
+                                  [(k, states, dihedral, v[i]) for k, states, dihedral, _, v in solved])
             for i in range(len(values))]
 
 

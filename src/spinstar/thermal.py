@@ -10,11 +10,12 @@ t -> 0+ limit of the Gibbs family.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from .operators import (SpinStarParams, packed_entries, packed_positions, packed_qubits, qubit_subset,
-                        symmetry_hamiltonians)
+from .operators import (SpinStarParams, dihedral_blocks, packed_entries, packed_positions, packed_qubits,
+                        qubit_subset, ring_orbits, symmetry_hamiltonians)
 from .spectra import SpectralDecomposition, stacked_spectra
 
 # Boltzmann weights below this, relative to the ground level's 1, are dropped.
@@ -88,44 +89,97 @@ def star_spectrum(params: SpinStarParams) -> SpectralDecomposition:
     return stacked_spectra(symmetry_hamiltonians([params]))[0]
 
 
+@lru_cache(maxsize=128)
+def _orbit_gathers(m: int, k: int, j: int):
+    """The gathers of _orbit_rows for sector k's part in peripheral block j; cached, read-only.
+
+    Per least state of block j's ring orbits, its <= 2 entries per copy of the sector's dihedral basis:
+    their rows among the solved blocks' padded (blocks * width, width) matrices and their coefficients;
+    then per state of the part, its entries' places among the copies' columns and their coefficients.
+    """
+    dihedral, lo, size = dihedral_blocks(m, k), (0 if j == k else math.comb(m, k)), math.comb(m, j)
+    least, part = ring_orbits(m, j)[0] + lo, slice(lo, lo + size)
+    offsets = dihedral.width * np.arange(dihedral.solved.size)[:, None]
+    gathers = (dihedral.solved[:, None] * dihedral.width + dihedral.columns[least],
+               dihedral.coefficients[least], (dihedral.columns[part] + offsets).reshape(size, -1),
+               dihedral.coefficients[part].reshape(size, -1))
+    for array in gathers:
+        array.setflags(write=False)
+    return gathers
+
+
+def _orbit_rows(gibbs, m: int, k: int, j: int) -> np.ndarray:
+    """Sector k's Gibbs block Q (+)_c M_solved[c] Q^T, part in block j, at its orbits' least rows only.
+
+    gibbs holds M_p = U_p diag(w) U_p^T per solved block p over cells x temperatures, padded to
+    (..., blocks, width, width); each row and column gathers its <= 2 entries per copy of the basis.
+    """
+    rows, row_entries, columns, column_entries = _orbit_gathers(m, k, j)
+    left = np.einsum("...rcij,rci->...rcj", np.take(gibbs.reshape(*gibbs.shape[:-3], -1, gibbs.shape[-1]),
+                                                    rows, axis=-2), row_entries)  # Q[least] M, per copy
+    picked = np.take(left.reshape(*left.shape[:-2], -1), columns, axis=-1)
+    return np.einsum("...rsk,sk->...rs", picked, column_entries)
+
+
 def reduced_state(spectra, params: SpinStarParams, temperatures) -> np.ndarray:
     """Gibbs states with the central spin traced out, packed: a (cells, temperatures, C(2m, m)) stack.
 
     spectra come from one stacked_spectra call, of cells sharing params.m and params.omega; ValueError
-    if their sector 0, the vacuum, does not sit at -(m+1)*omega/2.  Of sector k's Gibbs block
-    V_k diag(w) V_k^T only the centre-0 part (its first C(m, k) states) and the centre-1 part are formed,
-    one product over all cells x temperatures each, from the eigenvectors that any cell keeps; peripheral
-    block j, the centre-0 part of sector j plus the centre-1 part of sector j+1, is symmetrized and
-    written to its place in the packed layout (operators.packed_positions), and each state divided by
-    its own trace.  No 2^m x 2^m matrix is formed.
+    if their sector 0, the vacuum, does not sit at -(m+1)*omega/2.  Of sector k's Gibbs block only the
+    centre-0 part (its first C(m, k) states) and the centre-1 part are formed, over all cells x
+    temperatures at once, from the eigenvectors that any cell keeps.  A sector solved whole forms each
+    part as one product V_k diag(w) V_k^T.  A dihedral sector (operators.dihedral_blocks) forms
+    M_p = U_p diag(w) U_p^T per solved block, then only the rows of each ring orbit's least state,
+    sum_c Q_c[least] M_p Q_c^T, and fills the part from them by rotation (operators.ring_orbits): the
+    Gibbs state commutes with the ring rotation.  Peripheral block j, the centre-0 part of sector j plus
+    the centre-1 part of sector j+1, is symmetrized and written to its place in the packed layout
+    (operators.packed_positions), and each state divided by its own trace.  No 2^m x 2^m matrix is formed.
     """
     kts, m = [check_temperature(t) * params.omega for t in temperatures], params.m
     if any([block[0] for block in spec.blocks] != list(range(m + 2)) for spec in spectra):
         raise ValueError(f"expected the excitation-sector spectrum of an m={m} star")
-    vacuum = np.array([spec.eigenvalues[spec.blocks[0][3][0]] for spec in spectra])
+    vacuum = np.array([spec.eigenvalues[spec.ranks[0]] for spec in spectra])
     if not np.all(abs(vacuum + (m + 1) * params.omega / 2) <= 1e-12 * (m + 1) * params.omega):
         raise ValueError(f"the spectra's vacuum levels {vacuum} are not -(m+1)*omega/2 "
                          f"for omega={params.omega}")
-    # each sector's levels in its own order: a stable sort by label, since ranks ascend within a sector
-    order = np.array([spec.sector_labels for spec in spectra]).argsort(axis=-1, kind="stable")
-    gaps = np.take_along_axis(np.array([spec.gaps for spec in spectra]), order, axis=-1)
-    weights = _boltzmann(gaps[:, None], kts)
-    sizes = np.array([math.comb(m + 1, k) for k in range(m + 2)])
-    starts = np.cumsum(sizes) - sizes
-    # weights fall along a sector's levels, so each state keeps a prefix of them
-    kept = np.add.reduceat(weights.any(axis=(0, 1)), starts)
-    sectors = [(np.array([s.blocks[k][2][:, :n] for s in spectra])[:, None],
-                weights[..., None, start:start + n]) for k, (start, n) in enumerate(zip(starts, kept))]
+    # each sector's weights in its blocks' order, gathered once
+    gaps, ranks = np.array([spec.gaps for spec in spectra]), np.array([spec.ranks for spec in spectra])
+    weights = _boltzmann(np.take_along_axis(gaps, ranks, axis=-1)[:, None], kts)
+    # peripheral block j's parts formed whole, and the rows of its orbits' least states
+    parts, rows, start = [[] for _ in range(m + 1)], [[] for _ in range(m + 1)], 0
+    for k in range(m + 2):
+        dihedral, d = spectra[0].blocks[k][2], math.comb(m + 1, k)
+        w, start = weights[..., start:start + d], start + d
+        # the centre-0 part (the first C(m, k) states) falls in block k, the centre-1 part in block k-1
+        halves = [(j, lo, math.comb(m, j)) for j, lo in ((k, 0), (k - 1, math.comb(m, k))) if 0 <= j <= m]
+        if dihedral is None:
+            # weights fall along a sector's levels, so each state keeps a prefix of them
+            n = int(np.count_nonzero(w.any(axis=(0, 1))))
+            vectors, w = np.array([s.blocks[k][3][:, :n] for s in spectra])[:, None], w[..., None, :n]
+            for j, lo, size in halves:
+                half = vectors[..., lo:lo + size, :]
+                parts[j].append((half * w) @ half.swapaxes(-1, -2))
+            continue
+        padded = np.zeros((*w.shape[:2], dihedral.solved.max() + 1, 1, dihedral.width))
+        padded.reshape(*w.shape[:2], -1)[..., dihedral.slots] = w  # a partner copy writes its block's again
+        n = int(np.count_nonzero(padded.any(axis=(0, 1, 2, 3))))
+        if n:
+            vectors = np.array([s.blocks[k][3][..., :n] for s in spectra])[:, None]
+            gibbs = (vectors * padded[..., :n]) @ vectors.swapaxes(-1, -2)
+            for j, _, _ in halves:
+                rows[j].append(_orbit_rows(gibbs, m, k, j))
     base, rank = packed_positions(m)
     rho = np.empty((*weights.shape[:2], math.comb(2 * m, m)))
-    for j in range(m + 1):
-        # the centre-0 rows of sector j (its first C(m, j)) and the centre-1 rows of sector j+1
-        (low, low_w), (high, high_w) = sectors[j], sectors[j + 1]
-        size = math.comb(m, j)
-        low, high = low[..., :size, :], high[..., math.comb(m, j + 1):, :]
-        block = (low * low_w) @ low.swapaxes(-1, -2) + (high * high_w) @ high.swapaxes(-1, -2)
-        start = base[(1 << j) - 1]  # the block's least state, all j excitations in the lowest bits
+    for j, (block, least) in enumerate(zip(parts, rows)):
+        if least:
+            least = sum(least[1:], least[0])
+            block.append(least.reshape(*least.shape[:-2], -1).take(ring_orbits(m, j)[1], axis=-1))
+        size, start = math.comb(m, j), base[(1 << j) - 1]  # the block's least state: j excitations lowest
         out = rho[..., start:start + size * size].reshape(*rho.shape[:-1], size, size)
+        if not block:
+            out[...] = 0.0
+            continue
+        block = sum(block[1:], block[0])
         np.add(block, block.swapaxes(-1, -2), out=out)
         out *= 0.5
     rho /= rho.take(base + rank, axis=-1).sum(axis=-1)[..., None]  # the diagonal, summed in basis-index order

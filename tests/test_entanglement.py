@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from spinstar import (
     partial_transpose,
     reduced_thermal_state,
 )
+from spinstar import entanglement, operators
 
 from oracles import (
     bell_state,
@@ -247,3 +250,28 @@ def test_negativity_charge_block_check_is_exact(monkeypatch):
     rho = 0.5 * dm(w_state()) + np.eye(8) / 16
     rho[0b000, 0b001] = rho[0b001, 0b000] = 1e-300
     check(rho, 3, dense=True)
+
+
+# sha256 (first 16 hex digits) of every one-spin cut's index, diagonal and layout at m=2..11, as
+# built when the index gathered packed_positions over all of the cut's entries
+CUT_DIGESTS = {2: "cc5cd753fc0c5050", 3: "db8f1c9a35861dbf", 4: "b3b6303ef9889a46", 5: "e5d5d2fa0ee164bb",
+               6: "161e2adcce51dd87", 7: "251964619bd70e95", 8: "2fcf666926f3e6bc", 9: "b81685f3ed7fcf4c",
+               10: "e08b1e3d865b1a0f", 11: "1328d869cda3ea22"}
+
+
+@pytest.mark.parametrize("m", range(2, 12))
+def test_one_spin_cut_index_is_unchanged(m):
+    digest, entries = hashlib.sha256(), operators.packed_entries(m)
+    for k in range(m):
+        part, index, diagonal, layout = entanglement._cut(m, operators.SYMMETRY_MIN_DIM, k)
+        digest.update(index.tobytes() + diagonal.tobytes() + repr(layout).encode())
+        # each gathered block entry (r, c) is rho's <rest_r own_c| . |rest_c own_r>
+        mask = 1 << (m - 1 - k)
+        for span, shape, _ in layout:
+            rows, cols = np.divmod(entries[index[span]].reshape(shape), 2 ** m)
+            states = rows.diagonal(axis1=1, axis2=2)[:, :, None]
+            assert np.array_equal(cols.diagonal(axis1=1, axis2=2)[:, :, None], states)
+            turned = states.swapaxes(1, 2)
+            assert np.array_equal(rows, states & ~mask | turned & mask)
+            assert np.array_equal(cols, turned & ~mask | states & mask)
+    assert digest.hexdigest()[:16] == CUT_DIGESTS[m]

@@ -8,11 +8,13 @@ build_hamiltonian places the sector_terms blocks at their states, so it is
 pinned to the bit-flip oracle, and the states to the excitation partition.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from spinstar import SpinStarParams, ground_manifold, negativity, star_spectrum
-from spinstar import entanglement, operators
+from spinstar import entanglement, operators, spectra
 from spinstar.operators import build_hamiltonian, sector_terms, symmetry_hamiltonians
 from spinstar.spectra import level_energies, spectrum_blocked, stacked_spectra
 from spinstar.thermal import gibbs_state_from_spectrum, partial_trace, reduced_state, unpack
@@ -75,10 +77,23 @@ def test_stack_orders_each_cell_as_alone():
         assert np.array_equal(row, level_energies(values))
 
 
+def ring_turn(states, m):
+    """Each m-spin state turned once around the ring."""
+    return (states >> 1 | states << (m - 1)) & ((1 << m) - 1)
+
+
+def assert_ring_invariant(rho, m, blocks):
+    """rho[T s, T s'] == rho[s, s'] exactly on the states of each excitation block j in blocks."""
+    for j in blocks:
+        states = np.array([i for i in range(2 ** m) if i.bit_count() == j])
+        turned = ring_turn(states, m)
+        assert np.array_equal(rho[np.ix_(turned, turned)], rho[np.ix_(states, states)]), j
+
+
 @pytest.mark.parametrize("m", range(2, 8))
 def test_translation_blocks_match_dense_route(m, monkeypatch):
-    # every sector in ring-translation blocks: short orbits (m=4 0101; m=6 periods 2 and 3)
-    # and the m=2 ring's doubled bond
+    # every sector in dihedral blocks: short orbits (m=4 0101; m=6 periods 2 and 3), orbits that
+    # are their own mirror and mirror pairs, and the m=2 ring's doubled bond
     # and every one-spin cut's charge blocks split by the ring reflection
     monkeypatch.setattr(operators, "SYMMETRY_MIN_DIM", 1)
     n = m + 1
@@ -86,18 +101,100 @@ def test_translation_blocks_match_dense_route(m, monkeypatch):
         params = SpinStarParams(m=m, omega=1.0, epsilon=epsilon, eta=eta)
         spec = star_spectrum(params)
         assert all(isinstance(stack, tuple) for _, _, stack in operators.symmetry_hamiltonians([params]))
-        dense = spectrum_blocked(build_hamiltonian(params))
+        h = build_hamiltonian(params)
+        dense = spectrum_blocked(h)
         scale = np.max(np.abs(dense.eigenvalues))
         assert np.max(np.abs(spec.eigenvalues - dense.eigenvalues)) <= 1e-12 * scale
         assert ground_manifold(spec).degeneracy == ground_manifold(dense).degeneracy
+        # the block-form eigenvectors, made dense on request
+        vectors = spec.vectors(spec.dim)
+        assert np.max(np.abs(vectors.T @ vectors - np.eye(spec.dim))) <= 1e-12
+        assert np.max(np.abs(h @ vectors - vectors * spec.eigenvalues)) <= 1e-12 * scale
         [[packed]] = reduced_state([spec], params, [t])
         rho = unpack(packed)
         reference = partial_trace(gibbs_state_from_spectrum(dense, t), range(1, n), n)
         assert np.max(np.abs(rho - reference)) <= 1e-12
+        # every block fills from the rows of the ring orbits' least states
+        assert_ring_invariant(rho, m, range(m + 1))
         for k in range(m):
             assert abs(negativity(rho, (k,)) - negativity(reference, (k,))) <= 1e-12
             oracle = np.sum(np.abs(np.linalg.eigvalsh(brute_partial_transpose(rho, (k,), m)))) - 1
             assert abs(negativity(packed, (k,)) - oracle) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [7, 8, 9])
+def test_dihedral_route_at_the_default_threshold(m):
+    # sectors of 60 states or more in dihedral blocks (m=7 sector 4; m=9 sectors 3..7), the rest whole
+    n = m + 1
+    blocked = [k for k in range(n + 1) if math.comb(n, k) >= operators.SYMMETRY_MIN_DIM]
+    for epsilon, eta in [(1.0, 1.0), (1.3, 0.7), (-0.8, 2.4)]:
+        params = SpinStarParams(m=m, omega=1.0, epsilon=epsilon, eta=eta)
+        spec, dense = star_spectrum(params), spectrum_blocked(build_hamiltonian(params))
+        scale = np.max(np.abs(dense.eigenvalues))
+        assert np.max(np.abs(spec.eigenvalues - dense.eigenvalues)) <= 1e-12 * scale
+        temps = [0.0, 0.01, 1.0]
+        for t, packed in zip(temps, reduced_state([spec], params, temps)[0]):
+            rho = unpack(packed)
+            reference = partial_trace(gibbs_state_from_spectrum(dense, t), range(1, n), n)
+            assert np.max(np.abs(rho - reference)) <= 1e-12
+            # peripheral block j is fed by sectors j and j+1: exact where both are dihedral
+            assert_ring_invariant(rho, m, [j for j in range(m + 1) if j in blocked and j + 1 in blocked])
+            for k in range(m):
+                assert abs(negativity(packed, (k,)) - negativity(reference, (k,))) <= 1e-12
+
+
+@pytest.mark.parametrize("m, threshold", [(6, 1), (9, None), (10, None)])
+def test_each_kappa_pair_is_solved_once(m, threshold, monkeypatch):
+    # an R-even block is solved and its partner copy J Q reuses its eigenpairs; kappa = 0 and m/2 split
+    if threshold is not None:
+        monkeypatch.setattr(operators, "SYMMETRY_MIN_DIM", threshold)
+    solved, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: solved.append(a.shape) or eigh(a))
+    params, partners = SpinStarParams(m=m, omega=1.0, epsilon=1.3, eta=0.7), 0
+    for k, states, stack in operators.symmetry_hamiltonians([params]):
+        solved.clear()
+        dihedral, values, _ = spectra._eigh(stack)
+        if dihedral is None:
+            assert solved == [(1, states.size, states.size)]
+            continue
+        # one matrix per solved block, none per partner copy, in one call per block size
+        assert [shape[1:] for shape in solved] == [e.shape for _, e, _ in dihedral.groups]
+        assert len({shape[-1] for shape in solved}) == len(solved)
+        partner = np.flatnonzero(dihedral.solved[1:] == dihedral.solved[:-1]) + 1
+        assert sum(shape[1] for shape in solved) + partner.size == dihedral.solved.size
+        assert sum(np.prod(shape[1:3]) for shape in solved) + np.isin(dihedral.copies, partner).sum() \
+            == states.size
+        for copy in partner:
+            # a partner's eigenvalues are its solved block's, exactly
+            assert np.array_equal(values[0, dihedral.copies == copy], values[0, dihedral.copies == copy - 1])
+        partners += partner.size
+    assert partners > 0
+
+
+def test_dihedral_blocks_reject_terms_the_ring_does_not_keep(monkeypatch):
+    # one hop of sector 4 made stronger both ways: E_k stays symmetric but no longer commutes with T
+    m, k = 7, 4
+    terms = list(operators.sector_terms(m))
+    _, states, flat, central, ring = terms[k]
+    row, col = np.divmod(flat, states.size)
+    hop = np.flatnonzero(central)[0]
+    both = np.flatnonzero((row == col[hop]) & (col == row[hop]))[0]
+    terms[k] = (k, states, flat, np.where(np.isin(np.arange(flat.size), [hop, both]), 2.0, central), ring)
+    monkeypatch.setattr(operators, "sector_terms", lambda m: terms)
+    with pytest.raises(AssertionError, match="does not reconstruct its terms"):
+        operators.dihedral_blocks.__wrapped__(m, k)
+
+
+@pytest.mark.parametrize("m, epsilon, eta, degeneracy", [(8, 1.0, 1.0, 1), (9, 1.0, 1.0, 2)])
+def test_block_form_vectors_give_the_dense_projector(m, epsilon, eta, degeneracy):
+    # the ground level in a dihedral sector (sector 3): alone at m=8, a +-kappa pair at m=9
+    params = SpinStarParams(m=m, omega=1.0, epsilon=epsilon, eta=eta)
+    spec, dense = star_spectrum(params), spectrum_blocked(build_hamiltonian(params))
+    assert ground_manifold(spec).degeneracy == ground_manifold(dense).degeneracy == degeneracy
+    assert set(spec.sector_labels[:degeneracy]) == {3} and spec.blocks[3][2] is not None
+    vectors, reference = spec.vectors(degeneracy), dense.vectors(degeneracy)
+    assert np.max(np.abs(vectors.T @ vectors - np.eye(degeneracy))) <= 1e-12
+    assert np.max(np.abs(vectors @ vectors.T - reference @ reference.T)) <= 1e-12
 
 
 @pytest.mark.parametrize("m", [3, 5, 7])

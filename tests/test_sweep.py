@@ -107,7 +107,7 @@ def test_repeated_runs_are_byte_identical(tmp_path):
 @pytest.mark.parametrize("m", [3, 5, 7])
 def test_output_does_not_depend_on_the_stack_budget(monkeypatch, m):
     # t = 0, t = 1e-15 and the degenerate epsilon = eta = 1 cells included; m=7 solves its
-    # largest sectors in translation blocks
+    # largest sectors in dihedral blocks
     grid = small_grid(m=m, epsilon_axis=(0.0, 2.0, 5), eta_axis=(0.0, 2.0, 3),
                       temperatures=(0.0, 1e-15, 0.3, 2.0))
     texts, counts, calls, solve = [], [], [], sweep.stacked_spectra
