@@ -101,14 +101,12 @@ def _cut(n_qubits: int, min_dim: int, *part_a):
         q, count = members[0], members.size
         size = int(sizes[q])
         span = slice(rows_done, rows_done + count * size)
-        row, column = rest[span].reshape(count, size, 1), own[span].reshape(count, size, 1)
-        if len(part) == 1:  # own is 0 or mask: each entry picks one of two gathered columns
-            for rest_b, own_b in zip(row.reshape(count, size), column.reshape(count, size) // mask):
-                both = np.stack([rest_b, rest_b | mask])
-                pieces.append((base.take(both).T[:, own_b] + rank.take(both)[own_b]).ravel())
-        else:
-            pieces.append((base.take(row | column.swapaxes(1, 2))
-                           + rank.take(row.swapaxes(1, 2) | column)).ravel())
+        # entry (r, c) is base[rest_r | own_c] + rank[rest_c | own_r]: gather one column per distinct
+        # own value of the block (two for a one-spin cut), then pick per entry
+        for rest_b, own_b in zip(rest[span].reshape(count, size), own[span].reshape(count, size)):
+            values, inverse = np.unique(own_b, return_inverse=True)
+            both = rest_b | values[:, None]
+            pieces.append((base.take(both).T[:, inverse] + rank.take(both)[inverse]).ravel())
         layout.append((slice(entries_done, entries_done + count * size * size), (count, size, size),
                        (int(sizes[q] - fixed[q]) // 2, int(fixed[q])) if split[q] else None))
         rows_done, entries_done = rows_done + count * size, entries_done + count * size * size

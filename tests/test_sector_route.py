@@ -208,6 +208,23 @@ def test_packed_and_dense_states_give_identical_cuts(m):
             assert negativity(packed, (k,)) == negativity(rho, (k,))
 
 
+@pytest.mark.parametrize("m", [4, 5, 6, 7])
+def test_multi_spin_packed_cuts_match_the_brute_transpose(m):
+    # ring states, and one mixed with an excitation-conserving state that no ring symmetry fixes
+    rng = np.random.default_rng(40 + m)
+    params = SpinStarParams(m=m, omega=1.0, epsilon=1.3, eta=0.7)
+    states = list(reduced_state([star_spectrum(params)], params, [0.0, 0.1])[0])
+    root = rng.normal(size=(2 ** m, 2 ** m))
+    noise = (root @ root.T).take(operators.packed_entries(m))
+    states.append(0.7 * states[1] + 0.3 * noise / unpack(noise).trace())
+    for packed in states:
+        rho = unpack(packed)
+        for part in [(0, 1), (0, m - 1), (1, 2, m - 1)]:
+            oracle = np.sum(np.abs(np.linalg.eigvalsh(brute_partial_transpose(rho, part, m)))) - 1
+            assert oracle > 1e-3
+            assert abs(negativity(packed, part) - oracle) <= 1e-12
+
+
 @pytest.mark.parametrize("m", [8, 9])
 def test_reflection_split_at_the_default_threshold(m, monkeypatch):
     # the 70-state charge blocks at m=8, the 84- and 126-state ones at m=9, split against unsplit
