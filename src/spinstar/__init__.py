@@ -25,7 +25,6 @@ from .spectra import (
 )
 from .sweep import (
     SweepGrid,
-    SweepRecord,
     evaluate_cell,
     evaluate_point,
     sweep_records,
@@ -41,7 +40,6 @@ __all__ = [
     "SpectralDecomposition",
     "SpinStarParams",
     "SweepGrid",
-    "SweepRecord",
     "analytic_ground_state_m3",
     "analytic_spectrum_m3",
     "evaluate_cell",

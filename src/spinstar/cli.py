@@ -17,8 +17,7 @@ import numpy as np
 from .entanglement import NumericalInvariantError
 from .operators import SpinStarParams
 from .spectra import analytic_ground_state_m3, analytic_spectrum_m3, ground_manifold
-from .sweep import (SweepGrid, evaluate_point, format_float, open_output, sweep_records,
-                    write_records, write_rows)
+from .sweep import SweepGrid, evaluate_point, format_float, open_output, sweep_records, write_records
 from .thermal import star_spectrum
 
 
@@ -46,14 +45,6 @@ def _params_from(args: argparse.Namespace) -> SpinStarParams:
     return SpinStarParams(m=args.m, omega=args.omega, epsilon=args.epsilon, eta=args.eta)
 
 
-def _spectrum_rows(spec, analytic):
-    for i, (value, label) in enumerate(zip(spec.eigenvalues, spec.sector_labels)):
-        row = {"index": i, "eigenvalue": value, "sector": int(label)}
-        if analytic is not None:
-            row.update(analytic=analytic[i], abs_dev=abs(value - analytic[i]))
-        yield row
-
-
 def cmd_spectrum(args: argparse.Namespace) -> int:
     params = _params_from(args)
     spec = star_spectrum(params)
@@ -62,6 +53,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         analytic = analytic_spectrum_m3(params.omega, params.epsilon, params.eta)
         max_deviation = float(np.max(np.abs(spec.eigenvalues - analytic)))
 
+    eigenvalues, labels = spec.eigenvalues.tolist(), spec.sector_labels.tolist()
     with open_output(args.output) as stream:
         if args.format == "json":
             payload = {
@@ -69,23 +61,27 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
                 "omega": params.omega,
                 "epsilon": params.epsilon,
                 "eta": params.eta,
-                "eigenvalues": [float(v) for v in spec.eigenvalues],
-                "sector_labels": [int(k) for k in spec.sector_labels],
-                "analytic": None if analytic is None else [float(v) for v in analytic],
+                "eigenvalues": eigenvalues,
+                "sector_labels": labels,
+                "analytic": None if analytic is None else analytic.tolist(),
                 "max_abs_deviation": max_deviation,
             }
             stream.write(json.dumps(payload) + "\n")
         else:
-            write_rows(_spectrum_rows(spec, analytic), stream)
+            columns = {"index": list(range(len(eigenvalues))), "eigenvalue": eigenvalues, "sector": labels}
+            if analytic is not None:
+                columns.update(analytic=analytic.tolist(),
+                               abs_dev=np.abs(spec.eigenvalues - analytic).tolist())
+            write_records(columns, stream)
     if max_deviation is not None and args.format == "csv":
         print(f"max_abs_deviation={format_float(max_deviation)}", file=sys.stderr)
     return 0
 
 
 def cmd_negativity(args: argparse.Namespace) -> int:
-    record = evaluate_point(_params_from(args), args.t)
+    columns = evaluate_point(_params_from(args), args.t)
     with open_output(args.output) as stream:
-        write_records([record], stream, args.format)
+        write_records(columns, stream, args.format)
     return 0
 
 
@@ -106,7 +102,7 @@ def cmd_ground(args: argparse.Namespace) -> int:
            "ground_energy": manifold.energy, "ground_degeneracy": manifold.degeneracy,
            "analytic_ground_fidelity": fidelity}
     with open_output(args.output) as stream:
-        write_rows([row], stream, args.format)
+        write_records({name: [value] for name, value in row.items()}, stream, args.format)
     return 0
 
 
@@ -118,9 +114,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         eta_axis=args.eta_range,
         temperatures=args.temps,
     )
-    records = sweep_records(grid)
+    columns = sweep_records(grid)
     with open_output(args.output) as stream:
-        write_records(records, stream, args.format)
+        write_records(columns, stream, args.format)
     return 0
 
 

@@ -116,11 +116,6 @@ def _cut(n_qubits: int, min_dim: int, *part_a):
     return part, index, diagonal, tuple(layout)
 
 
-def _eigvalsh(blocks):
-    # a 1x1 block is its own eigenvalue
-    return np.linalg.eigvalsh(blocks) if blocks.shape[-1] > 1 else blocks.real
-
-
 def _spectra(blocks, split) -> list:
     """Eigenvalues of a (count, size, size) stack of charge blocks with the split of _cut.
 
@@ -128,7 +123,8 @@ def _spectra(blocks, split) -> list:
     basis (a + b)/sqrt(2), f and the odd one (a - b)/sqrt(2), from sums and differences of its
     contiguous parts, when the coupling X between them passes 2 sqrt(pairs) ||X||_F <= REFLECTION_TOL
     summed over the stack.  Dropping X moves the trace norm by at most ||[[0, X], [X^H, 0]]||_1 =
-    2 ||X||_1, and X has rank at most pairs.  Else, or unsplit, each block is diagonalized whole.
+    2 ||X||_1, and X has rank at most pairs.  Else, or unsplit, each block is diagonalized whole, and a
+    1x1 block is its own eigenvalue.
     """
     if split is not None:
         p, f = split
@@ -144,8 +140,9 @@ def _spectra(blocks, split) -> list:
             np.multiply(top[..., p:p + f], math.sqrt(2), out=even[:, :p, p:])
             np.multiply(middle[..., :p] + middle[..., p + f:], math.sqrt(2), out=even[:, p:, :p])
             np.multiply(middle[..., p:p + f], 2.0, out=even[:, p:, p:])
-            return [0.5 * _eigvalsh(even), 0.5 * _eigvalsh(bottom[..., :p] - bottom[..., p + f:])]
-    return [_eigvalsh(blocks)]
+            odd = bottom[..., :p] - bottom[..., p + f:]
+            return [0.5 * np.linalg.eigvalsh(even), 0.5 * np.linalg.eigvalsh(odd)]
+    return [np.linalg.eigvalsh(blocks) if blocks.shape[-1] > 1 else blocks.real]
 
 
 def negativity(rho: np.ndarray, part_a) -> float:
@@ -170,15 +167,16 @@ def negativity(rho: np.ndarray, part_a) -> float:
     whole = packed is not rho and np.count_nonzero(packed) != np.count_nonzero(rho)
     try:
         if whole:
-            spectra = [np.linalg.eigvalsh(partial_transpose(rho, part, n_qubits))]
+            raw = np.add.reduce(np.abs(np.linalg.eigvalsh(partial_transpose(rho, part, n_qubits))), axis=None)
         else:
             gathered = packed[index]  # indexing: take converts the int32 index first, 2.5x slower at m=9
-            spectra = [values for span, shape, split in layout
-                       for values in _spectra(gathered[span].reshape(shape), split)]
+            raw = 0.0  # one running sum, stack after stack in layout order
+            for span, shape, split in layout:
+                for values in _spectra(gathered[span].reshape(shape), split):
+                    raw += np.add.reduce(np.abs(values), axis=None)  # add.reduce skips ndarray.sum's wrapper
     except np.linalg.LinAlgError as exc:  # eigvalsh may not converge on a NaN or inf entry
         raise NumericalInvariantError(f"partial transpose: {exc}; input is not a valid state") from exc
-    # add.reduce skips ndarray.sum's Python wrapper
-    raw = float(sum(np.add.reduce(np.abs(values), axis=None) for values in spectra)) - 1.0
+    raw = float(raw) - 1.0
     if not raw >= NEGATIVITY_FLOOR:  # NaN fails too
         raise NumericalInvariantError(
             f"negativity {raw:.3e} fails the {NEGATIVITY_FLOOR} floor; input is not a valid state")

@@ -30,9 +30,9 @@ MAX_ENERGY = 1e150
 # Sectors of at least this dimension are solved in dihedral blocks (dihedral_blocks), and a
 # one-spin cut's charge blocks of at least this dimension are split by the ring
 # reflection that fixes the cut spin (entanglement.negativity), from m=7 and m=8
-# on respectively.  One sector's build and solve, single-threaded, direct against
-# blocks: 0.41 against 0.48 ms at d=55, 0.67 against 0.60 ms at d=66, 0.75 against
-# 0.53 ms at d=70.
+# on respectively.  Single-threaded, warm: one sector's build and solve, direct against
+# blocks, 0.12 against 0.10 ms at d=36, 0.23 against 0.10 at d=56, 0.51 against 0.18 at d=84;
+# one cut, split against whole, 0.40 against 0.42 ms at m=8 (70 states), 1.1 against 1.5 at m=9.
 SYMMETRY_MIN_DIM = 60
 
 

@@ -2,8 +2,8 @@
 
 Grid cells are pure functions of their inputs: each stack of them that fits MAX_STACK_BYTES is
 diagonalized with one call and its Gibbs states formed with another (solve_stack), then each cell is
-evaluated (evaluate_cell); rows are written in canonical order (lexicographic by t, eta, epsilon),
-byte-identical across runs.
+evaluated into columns (evaluate_cell); write_records, the writer of every command, writes the rows in
+canonical order (lexicographic by t, eta, epsilon), byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -22,13 +22,14 @@ from .operators import SpinStarParams, symmetry_hamiltonians
 from .spectra import SpectralDecomposition, ground_manifold, stacked_spectra
 from .thermal import check_temperature, reduced_state
 
-# A sweep holds every record until it writes them, about 350 B each at m=3 and
-# 500 B at m=11 (tracemalloc): this keeps a sweep's records under 0.5 GB.
+# A sweep holds every record until it writes them, about 170 B each at m=3 and
+# 490 B at m=11 (tracemalloc): this keeps a sweep's records under 0.5 GB.
 MAX_SWEEP_RECORDS = 10 ** 6
 
-# A stack holds about this many bytes: per cell, its sector blocks (C(2m+2, m+1) floats) and all its
-# packed states (C(2m, m) floats per temperature); at four temperatures 54 m=3 cells, 4 at m=5 and
-# one at m=6, and a lone cell overflows it from m=7 on.
+# A stack holds at most about this many bytes: per cell, its sector blocks (C(2m+2, m+1) floats, the
+# dense sectors' size, an upper bound once sectors are dihedral) and all its packed states (C(2m, m)
+# floats per temperature); at four temperatures 54 m=3 cells, 4 at m=5 and one at m=6, and a lone
+# cell overflows it from m=7 on.
 # 1 MiB, with 4^m-float states, ran sweep-m3 0-9 % faster but raised its peak RSS from 35.3 to 38.6 MiB.
 MAX_STACK_BYTES = 64 * 1024
 
@@ -85,60 +86,43 @@ class SweepGrid:
             check_temperature(t)
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One evaluated (epsilon, eta, t) cell."""
-
-    epsilon: float
-    eta: float
-    t: float
-    neg_multi: float
-    per_cut: tuple[float, ...]
-    ground_energy: float
-    ground_degeneracy: int
-    degenerate_cell: bool
-
-    def row(self) -> dict:
-        """Output fields in column order, one neg_cut_k per peripheral spin."""
-        row = {"epsilon": self.epsilon, "eta": self.eta, "t": self.t, "neg_multi": self.neg_multi}
-        for k, value in enumerate(self.per_cut, start=1):
-            row[f"neg_cut_{k}"] = value
-        row.update(ground_energy=self.ground_energy, ground_degeneracy=self.ground_degeneracy,
-                   degenerate_cell=self.degenerate_cell)
-        return row
-
-
 def evaluate_cell(spec: SpectralDecomposition, params: SpinStarParams,
-                  temperatures, states) -> list[SweepRecord]:
-    """One record per temperature for a coupling pair, from its spectrum and its states (see solve_stack)."""
+                  temperatures, states) -> dict[str, list]:
+    """Columns of a coupling pair's rows, one per temperature, from its spectrum and its states (see
+    solve_stack): each output name, in output order, to its list; one neg_cut_k per peripheral spin."""
     manifold = ground_manifold(spec)
-    records = []
-    for t, rho in zip(temperatures, states):
-        report = multipartite_negativity(rho, params.m)
-        records.append(SweepRecord(
-            epsilon=float(params.epsilon), eta=float(params.eta), t=float(t),
-            neg_multi=report.multipartite, per_cut=report.per_cut,
-            ground_energy=manifold.energy, ground_degeneracy=manifold.degeneracy,
-            degenerate_cell=manifold.degeneracy > 1))
-    return records
+    reports = [multipartite_negativity(rho, params.m) for rho in states]
+    rows = len(reports)
+    columns = {"epsilon": [float(params.epsilon)] * rows, "eta": [float(params.eta)] * rows,
+               "t": [float(t) for t in temperatures], "neg_multi": [r.multipartite for r in reports]}
+    for k in range(params.m):
+        columns[f"neg_cut_{k + 1}"] = [r.per_cut[k] for r in reports]
+    columns.update(ground_energy=[manifold.energy] * rows, ground_degeneracy=[manifold.degeneracy] * rows,
+                   degenerate_cell=[manifold.degeneracy > 1] * rows)
+    return columns
 
 
-def evaluate_point(params: SpinStarParams, t: float) -> SweepRecord:
+def evaluate_point(params: SpinStarParams, t: float) -> dict[str, list]:
     """Single-cell evaluation, a stack of one; shares the code path used by grid sweeps."""
     check_temperature(t)
     [(spec, states)] = solve_stack([params], (t,))
-    return evaluate_cell(spec, params, (t,), states)[0]
+    return evaluate_cell(spec, params, (t,), states)
 
 
-def sweep_records(grid: SweepGrid) -> list[SweepRecord]:
-    """Evaluate every grid cell; rows ordered lexicographically by (t, eta, epsilon)."""
+def sweep_records(grid: SweepGrid) -> dict[str, list]:
+    """Evaluate every grid cell into columns (see evaluate_cell); rows ordered lexicographically by
+    (t, eta, epsilon).  Each cell's values go to their rows as the cell arrives."""
     eps_values = np.linspace(*grid.epsilon_axis)
     temps = tuple(sorted(grid.temperatures))
     cells = [SpinStarParams(grid.m, grid.omega, eps, eta)
              for eta in np.linspace(*grid.eta_axis) for eps in eps_values]
-    per_cell = [evaluate_cell(spec, params, temps, states)
-                for params, (spec, states) in zip(cells, solve_stack(cells, temps))]
-    return [cell[t_index] for t_index in range(len(temps)) for cell in per_cell]
+    for i, (params, (spec, states)) in enumerate(zip(cells, solve_stack(cells, temps))):
+        cell = evaluate_cell(spec, params, temps, states)
+        if i == 0:
+            columns = {name: [None] * (len(temps) * len(cells)) for name in cell}
+        for name, values in cell.items():
+            columns[name][i::len(cells)] = values  # rows t_index * len(cells) + i
+    return columns
 
 
 def format_float(value: float) -> str:
@@ -155,22 +139,19 @@ def format_field(value) -> str:
     return format_float(value)
 
 
-def write_rows(rows, stream, fmt: str = "csv") -> None:
-    """Write dicts as CSV, headed by the first row's keys, or as JSON lines."""
+def write_records(columns: dict, stream, fmt: str = "csv") -> None:
+    """Write columns, each output name to an equal-length list, row by row: as CSV headed by the
+    names, or as JSON lines."""
+    names, rows = list(columns), zip(*columns.values())
     if fmt == "json":
         for row in rows:
-            stream.write(json.dumps(row) + "\n")
+            stream.write(json.dumps(dict(zip(names, row))) + "\n")
     elif fmt == "csv":
-        for i, row in enumerate(rows):
-            if i == 0:
-                stream.write(",".join(row) + "\n")
-            stream.write(",".join(map(format_field, row.values())) + "\n")
+        stream.write(",".join(names) + "\n")
+        for row in rows:
+            stream.write(",".join(map(format_field, row)) + "\n")
     else:
         raise ValueError(f"unknown output format {fmt!r}")
-
-
-def write_records(records, stream, fmt: str = "csv") -> None:
-    write_rows((record.row() for record in records), stream, fmt)
 
 
 @contextlib.contextmanager

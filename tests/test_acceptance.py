@@ -161,17 +161,17 @@ def test_criterion_07_temperature_washout():
     temps = (0.01, 0.1, 1.0, 5.0)
     grid = SweepGrid(m=3, omega=1.0, epsilon_axis=(0.0, 10.0, 41),
                      eta_axis=(0.0, 10.0, 41), temperatures=temps)
-    records = sweep_records(grid)
+    columns = sweep_records(grid)
     cells = 41 * 41
-    coords = [(r.epsilon, r.eta) for r in records[:cells]]
+    coords = list(zip(columns["epsilon"][:cells], columns["eta"][:cells]))
     vacuum = np.array([vacuum_ground(1.0, eps, eta) for eps, eta in coords])
     maxima = []
     whites = []
     for i, t in enumerate(sorted(temps)):
-        chunk = records[i * cells:(i + 1) * cells]
-        assert all(r.t == t for r in chunk)
-        assert [(r.epsilon, r.eta) for r in chunk] == coords
-        values = np.array([r.neg_multi for r in chunk])
+        chunk = slice(i * cells, (i + 1) * cells)
+        assert all(value == t for value in columns["t"][chunk])
+        assert list(zip(columns["epsilon"][chunk], columns["eta"][chunk])) == coords
+        values = np.array(columns["neg_multi"][chunk])
         maxima.append(float(values.max()))
         whites.append(values < 1e-3)
     max_non_increasing = all(b <= a for a, b in zip(maxima, maxima[1:]))
@@ -216,13 +216,14 @@ def test_criterion_07_activated_cells_match_oracle():
         assert vacuum_ground(1.0, eps, eta)
         params = SpinStarParams(m=3, omega=1.0, epsilon=eps, eta=eta)
         spec = star_spectrum(params)
-        cold, warm = evaluate_cell(spec, params, (0.01, 0.1), reduced_state([spec], params, (0.01, 0.1))[0])
+        columns = evaluate_cell(spec, params, (0.01, 0.1), reduced_state([spec], params, (0.01, 0.1))[0])
+        cold, warm = ([columns[f"neg_cut_{k}"][row] for k in (1, 2, 3)] for row in (0, 1))
         brute_cold = brute_cut_negativities(eps, eta, 0.01)
         brute_warm = brute_cut_negativities(eps, eta, 0.1)
-        worst = max(worst, float(np.max(np.abs(np.subtract(cold.per_cut, brute_cold)))),
-                    float(np.max(np.abs(np.subtract(warm.per_cut, brute_warm)))))
-        assert max(brute_cold) <= 1e-10 and max(cold.per_cut) <= 1e-10, (eps, eta)
-        assert min(brute_warm) > 1e-3 and min(warm.per_cut) > 1e-3, (eps, eta)
+        worst = max(worst, float(np.max(np.abs(np.subtract(cold, brute_cold)))),
+                    float(np.max(np.abs(np.subtract(warm, brute_warm)))))
+        assert max(brute_cold) <= 1e-10 and max(cold) <= 1e-10, (eps, eta)
+        assert min(brute_warm) > 1e-3 and min(warm) > 1e-3, (eps, eta)
     assert worst <= 1e-10, worst
 
 
@@ -277,8 +278,7 @@ def test_criterion_10_larger_rings_sweep():
     for m in (4, 5):
         grid = SweepGrid(m=m, omega=1.0, epsilon_axis=(0.0, 10.0, 41),
                          eta_axis=(0.0, 10.0, 41), temperatures=(0.01,))
-        records = sweep_records(grid)
-        values = np.array([r.neg_multi for r in records]).reshape(41, 41)  # [eta, eps]
+        values = np.array(sweep_records(grid)["neg_multi"]).reshape(41, 41)  # [eta, eps]
         found = (any(drop_then_rise(values[i, :], 1e-3) for i in range(41))
                  or any(drop_then_rise(values[:, j], 1e-3) for j in range(41)))
         non_monotone[m] = found

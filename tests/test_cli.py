@@ -314,6 +314,43 @@ GOLDEN_CSV = [
                  "ground_degeneracy,degenerate_cell\n"
                  "1,0.5,0.1,0.0757379250809,0.0757379250809,0.0757379250809,0.0757379250809,"
                  "-2.30277563773,1,false\n", id="negativity-m3"),
+    # many rows: repeated axis values, t = 0, zero rows and the degenerate epsilon = eta = 1 cell
+    pytest.param(("sweep", "--m", "3", "--epsilon-range", "0:1:3", "--eta-range", "0.5:1:2",
+                  "--temps", "0,1"),
+                 "epsilon,eta,t,neg_multi,neg_cut_1,neg_cut_2,neg_cut_3,ground_energy,"
+                 "ground_degeneracy,degenerate_cell\n"
+                 "0,0.5,0,0,0,0,0,-2,1,false\n"
+                 "0.5,0.5,0,0,0,0,0,-2,1,false\n"
+                 "1,0.5,0,0.0851725504638,0.0851725504638,0.0851725504638,0.0851725504638,"
+                 "-2.30277563773,1,false\n"
+                 "0,1,0,0.124789513958,0.124789513958,0.124789513958,0.124789513958,-2,3,true\n"
+                 "0.5,1,0,0.124789513958,0.124789513958,0.124789513958,0.124789513958,-2,3,true\n"
+                 "1,1,0,0.0344916324415,0.0344916324415,0.0344916324415,0.0344916324415,-2,6,true\n"
+                 "0,0.5,1,0,0,0,0,-2,1,false\n"
+                 "0.5,0.5,1,0,0,0,0,-2,1,false\n"
+                 "1,0.5,1,0,0,0,0,-2.30277563773,1,false\n"
+                 "0,1,1,0.0392818740356,0.0392818740356,0.0392818740356,0.0392818740356,-2,3,true\n"
+                 "0.5,1,1,0.0212968172851,0.0212968172851,0.0212968172851,0.0212968172851,-2,3,true\n"
+                 "1,1,1,0,0,0,0,-2,6,true\n", id="sweep-m3"),
+    # the whole table; abs_dev and the order of a level's sectors are rounding-level
+    pytest.param(("spectrum", "--m", "3", "--epsilon", "1", "--eta", "0.5"),
+                 "index,eigenvalue,sector,analytic,abs_dev\n"
+                 "0,-2.30277563773,1,-2.30277563773,0\n"
+                 "1,-2,0,-2,0\n"
+                 "2,-1.5,2,-1.5,1.11022302463e-15\n"
+                 "3,-1.5,2,-1.5,8.881784197e-16\n"
+                 "4,-1.5,1,-1.5,2.22044604925e-16\n"
+                 "5,-1.5,1,-1.5,2.22044604925e-16\n"
+                 "6,-1,2,-1,4.4408920985e-16\n"
+                 "7,-0.302775637732,3,-0.302775637732,1.11022302463e-16\n"
+                 "8,0.5,2,0.5,2.22044604925e-16\n"
+                 "9,0.5,3,0.5,2.22044604925e-16\n"
+                 "10,0.5,2,0.5,0\n"
+                 "11,0.5,3,0.5,0\n"
+                 "12,1.30277563773,1,1.30277563773,0\n"
+                 "13,2,4,2,0\n"
+                 "14,3,2,3,2.22044604925e-15\n"
+                 "15,3.30277563773,3,3.30277563773,4.4408920985e-16\n", id="spectrum-m3"),
 ]
 
 

@@ -5,7 +5,7 @@ import spinstar
 # partial_trace) are imported from their modules
 PUBLIC = {
     "GroundManifold", "NegativityReport", "NumericalInvariantError", "SpectralDecomposition",
-    "SpinStarParams", "SweepGrid", "SweepRecord", "analytic_ground_state_m3",
+    "SpinStarParams", "SweepGrid", "analytic_ground_state_m3",
     "analytic_spectrum_m3", "evaluate_cell", "evaluate_point", "ground_manifold",
     "multipartite_negativity", "negativity", "partial_transpose", "reduced_thermal_state",
     "star_spectrum", "sweep_records",
@@ -13,7 +13,7 @@ PUBLIC = {
 
 
 def test_public_names_are_the_sector_route():
-    assert len(spinstar.__all__) == len(PUBLIC) == 18
+    assert len(spinstar.__all__) == len(PUBLIC) == 17
     assert set(spinstar.__all__) == PUBLIC
     namespace = {}
     exec("from spinstar import *", namespace)

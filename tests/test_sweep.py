@@ -19,10 +19,15 @@ HEADER_M3 = ("epsilon,eta,t,neg_multi,neg_cut_1,neg_cut_2,neg_cut_3,"
              "ground_energy,ground_degeneracy,degenerate_cell")
 
 
-def csv_lines(records):
+def csv_lines(columns):
     stream = io.StringIO()
-    write_records(records, stream)
+    write_records(columns, stream)
     return stream.getvalue().splitlines()
+
+
+def per_cut(columns, row=0):
+    """The neg_cut_k values of one row, k = 1..m."""
+    return [values[row] for name, values in columns.items() if name.startswith("neg_cut_")]
 
 
 def small_grid(**overrides):
@@ -78,18 +83,18 @@ def test_single_cell_grid(tmp_path):
 
 
 def test_row_order_is_lexicographic_in_t_eta_epsilon():
-    records = sweep_records(small_grid(temperatures=(0.5, 0.01)))
-    keys = [(r.t, r.eta, r.epsilon) for r in records]
+    columns = sweep_records(small_grid(temperatures=(0.5, 0.01)))
+    keys = list(zip(columns["t"], columns["eta"], columns["epsilon"]))
     assert keys == sorted(keys)
-    assert len(records) == 3 * 2 * 2
+    assert {len(values) for values in columns.values()} == {3 * 2 * 2}
 
 
 def test_sweep_matches_single_point_evaluation():
     grid = small_grid(temperatures=(0.01,))
-    records = sweep_records(grid)
-    probe = next(r for r in records if r.epsilon == 1.0 and r.eta == 1.0)
+    columns = sweep_records(grid)
+    i = next(i for i, key in enumerate(zip(columns["epsilon"], columns["eta"])) if key == (1.0, 1.0))
     single = evaluate_point(SpinStarParams(m=3, omega=1.0, epsilon=1.0, eta=1.0), 0.01)
-    assert csv_lines([probe]) == csv_lines([single])
+    assert csv_lines({name: values[i:i + 1] for name, values in columns.items()}) == csv_lines(single)
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):
@@ -119,13 +124,15 @@ def test_output_does_not_depend_on_the_stack_budget(monkeypatch, m):
         counts.append(len(calls))
     assert counts[0] == 15 and counts[2] == 1  # one cell per stack, then the whole grid in one
     assert texts[0] == texts[1] == texts[2]
-    assert any(r.degenerate_cell and r.epsilon == r.eta == 1.0 for r in sweep_records(grid))
+    columns = sweep_records(grid)
+    assert any(flag and eps == eta == 1.0 for flag, eps, eta
+               in zip(columns["degenerate_cell"], columns["epsilon"], columns["eta"]))
 
 
 def test_csv_schema_matches_m():
     def header(m):
-        return csv_lines([evaluate_point(SpinStarParams(m=m, omega=1.0, epsilon=1.0, eta=0.5),
-                                         0.1)])[0]
+        return csv_lines(evaluate_point(SpinStarParams(m=m, omega=1.0, epsilon=1.0, eta=0.5),
+                                        0.1))[0]
 
     assert header(3) == HEADER_M3
     assert "neg_cut_5" in header(5)
@@ -134,30 +141,30 @@ def test_csv_schema_matches_m():
 def test_degenerate_cells_are_flagged():
     grid = SweepGrid(m=3, omega=1.0, epsilon_axis=(1.0, 1.0, 1), eta_axis=(0.5, 2.0, 2),
                      temperatures=(0.0,))
-    records = sweep_records(grid)
-    by_eta = {r.eta: r for r in records}
-    assert by_eta[0.5].ground_degeneracy == 1
-    assert not by_eta[0.5].degenerate_cell
-    assert by_eta[2.0].ground_degeneracy == 4
-    assert by_eta[2.0].degenerate_cell
+    columns = sweep_records(grid)
+    by_eta = {eta: i for i, eta in enumerate(columns["eta"])}
+    assert columns["ground_degeneracy"][by_eta[0.5]] == 1
+    assert not columns["degenerate_cell"][by_eta[0.5]]
+    assert columns["ground_degeneracy"][by_eta[2.0]] == 4
+    assert columns["degenerate_cell"][by_eta[2.0]]
 
 
 def test_zero_temperature_rows_use_ground_limit():
     grid = SweepGrid(m=3, omega=1.0, epsilon_axis=(1.0, 1.0, 1), eta_axis=(2.0, 2.0, 1),
                      temperatures=(0.0, 0.01))
-    records = sweep_records(grid)
-    cold, frozen = records[1], records[0]
-    assert frozen.t == 0.0
-    assert abs(cold.neg_multi - frozen.neg_multi) < 1e-6
+    columns = sweep_records(grid)
+    (frozen, cold), (frozen_t, _) = columns["neg_multi"], columns["t"]
+    assert frozen_t == 0.0
+    assert abs(cold - frozen) < 1e-6
 
 
 def test_json_records_roundtrip():
     grid = small_grid(temperatures=(0.2,))
-    records = sweep_records(grid)
+    columns = sweep_records(grid)
     stream = io.StringIO()
-    write_records(records, stream, fmt="json")
+    write_records(columns, stream, fmt="json")
     lines = stream.getvalue().splitlines()
-    assert len(lines) == len(records)
+    assert len(lines) == len(columns["t"])
     obj = json.loads(lines[0])
     assert set(obj) == {"epsilon", "eta", "t", "neg_multi", "neg_cut_1", "neg_cut_2",
                         "neg_cut_3", "ground_energy", "ground_degeneracy", "degenerate_cell"}
@@ -166,7 +173,7 @@ def test_json_records_roundtrip():
 
 def test_write_records_rejects_unknown_format():
     with pytest.raises(ValueError):
-        write_records([], io.StringIO(), fmt="yaml")
+        write_records({}, io.StringIO(), fmt="yaml")
 
 
 def test_float_formatting_is_stable():
@@ -184,7 +191,7 @@ def test_negativity_vs_eta_dips_then_plateaus():
     values = []
     for eta in etas:
         values.append(evaluate_point(SpinStarParams(m=3, omega=1.0, epsilon=1.0, eta=float(eta)),
-                                     0.01).neg_multi)
+                                     0.01)["neg_multi"][0])
     values = np.array(values)
     diffs = np.diff(values)
     assert diffs.min() <= -1e-3
@@ -196,11 +203,11 @@ def test_full_grid_row_count_and_crossing_column(tmp_path):
     path = tmp_path / "fig_grid.csv"
     grid = SweepGrid(m=3, omega=1.0, epsilon_axis=(0.0, 10.0, 41), eta_axis=(0.0, 10.0, 41),
                      temperatures=(0.01,))
-    records = sweep_records(grid)
+    columns = sweep_records(grid)
     with open_output(str(path)) as stream:
-        write_records(records, stream)
+        write_records(columns, stream)
     assert len(path.read_text().splitlines()) == 1 + 1681
-    values = np.array([r.neg_multi for r in records]).reshape(41, 41)  # [eta, eps]
+    values = np.array(columns["neg_multi"]).reshape(41, 41)  # [eta, eps]
     eta_one = values[4, :]  # eta = 1.0 on the 0.25-step axis
     drops = np.maximum.accumulate(eta_one) - eta_one
     rises = np.maximum.accumulate(eta_one[::-1])[::-1] - eta_one
@@ -213,7 +220,7 @@ def test_axis_sweeps_each_coupling_alone_entangles():
     star_only = SweepGrid(m=3, omega=1.0, epsilon_axis=(0.0, 10.0, 11),
                           eta_axis=(0.0, 0.0, 1), temperatures=(0.01,))
     for grid in (ring_only, star_only):
-        values = np.array([r.neg_multi for r in sweep_records(grid)])
+        values = np.array(sweep_records(grid)["neg_multi"])
         assert values.min() >= 0.0
         assert values.max() > 0.0
 
@@ -222,7 +229,7 @@ def test_high_temperature_grid_washes_out():
     def grid_max(t):
         grid = SweepGrid(m=3, omega=1.0, epsilon_axis=(0.0, 10.0, 11),
                          eta_axis=(0.0, 10.0, 11), temperatures=(t,))
-        return max(r.neg_multi for r in sweep_records(grid))
+        return max(sweep_records(grid)["neg_multi"])
 
     assert grid_max(5.0) < grid_max(0.01)
 
@@ -234,6 +241,6 @@ def test_results_do_not_depend_on_the_energy_unit(m, scale):
     for t in (0.0, 0.01, 0.3):
         unit = evaluate_point(SpinStarParams(m=m, omega=1.0, epsilon=1.0, eta=0.5), t)
         scaled = evaluate_point(SpinStarParams(m=m, omega=scale, epsilon=scale, eta=0.5 * scale), t)
-        assert scaled.ground_degeneracy == unit.ground_degeneracy == 1
-        assert abs(scaled.neg_multi - unit.neg_multi) <= 1e-12
-        assert np.max(np.abs(np.subtract(scaled.per_cut, unit.per_cut))) <= 1e-12
+        assert scaled["ground_degeneracy"] == unit["ground_degeneracy"] == [1]
+        assert abs(scaled["neg_multi"][0] - unit["neg_multi"][0]) <= 1e-12
+        assert np.max(np.abs(np.subtract(per_cut(scaled), per_cut(unit)))) <= 1e-12
