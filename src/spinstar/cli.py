@@ -48,12 +48,15 @@ def _params_from(args: argparse.Namespace) -> SpinStarParams:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     params = _params_from(args)
     spec = star_spectrum(params)
-    analytic = max_deviation = None
+    # each level's rows by sector, then value: not in the order of the rounding noise inside the level
+    order = np.lexsort((spec.eigenvalues, spec.sector_labels, spec.gaps))
+    values, labels = spec.eigenvalues[order], spec.sector_labels[order].tolist()
+    analytic = deviation = max_deviation = None
     if params.m == 3:
         analytic = analytic_spectrum_m3(params.omega, params.epsilon, params.eta)
-        max_deviation = float(np.max(np.abs(spec.eigenvalues - analytic)))
+        deviation = np.abs(values - analytic)
+        max_deviation = float(np.max(deviation))
 
-    eigenvalues, labels = spec.eigenvalues.tolist(), spec.sector_labels.tolist()
     with open_output(args.output) as stream:
         if args.format == "json":
             payload = {
@@ -61,17 +64,16 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
                 "omega": params.omega,
                 "epsilon": params.epsilon,
                 "eta": params.eta,
-                "eigenvalues": eigenvalues,
+                "eigenvalues": values.tolist(),
                 "sector_labels": labels,
                 "analytic": None if analytic is None else analytic.tolist(),
                 "max_abs_deviation": max_deviation,
             }
             stream.write(json.dumps(payload) + "\n")
         else:
-            columns = {"index": list(range(len(eigenvalues))), "eigenvalue": eigenvalues, "sector": labels}
+            columns = {"index": list(range(len(labels))), "eigenvalue": values.tolist(), "sector": labels}
             if analytic is not None:
-                columns.update(analytic=analytic.tolist(),
-                               abs_dev=np.abs(spec.eigenvalues - analytic).tolist())
+                columns.update(analytic=analytic.tolist(), abs_dev=deviation.tolist())
             write_records(columns, stream)
     if max_deviation is not None and args.format == "csv":
         print(f"max_abs_deviation={format_float(max_deviation)}", file=sys.stderr)

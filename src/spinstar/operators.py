@@ -206,21 +206,19 @@ def _ring_turns(states: np.ndarray, m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def ring_orbits(m: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """(least, fill) for the m-spin states with j excitations, ascending; cached, read-only.
+def ring_orbits(m: int, j: int) -> np.ndarray:
+    """The fill of the m-spin states with j excitations, ascending; cached, read-only.
 
-    least holds the places of the ring rotation's orbits' least states.  A matrix G on these states
-    that the rotation keeps, G[T s, T s'] = G[s, s'], is G[least] raveled and taken at fill, an
-    (states, states) index: G[s, s'] = G[a, T^r s'] where T^r s = a is its orbit's least state.
+    A matrix G on these states that the ring rotation keeps, G[T s, T s'] = G[s, s'], is its rows at
+    the orbits' least states, in ascending order, raveled and taken at fill, an (states, states)
+    index: G[s, s'] = G[a, T^r s'] where T^r s = a is its orbit's least state.
     """
     states = np.flatnonzero(excitations(m) == j)
     turns = _ring_turns(states, m)
-    least, orbit = np.unique(turns.min(axis=0), return_inverse=True)
+    orbit = np.unique(turns.min(axis=0), return_inverse=True)[1]
     fill = orbit.reshape(-1, 1) * states.size + np.searchsorted(states, turns)[turns.argmin(axis=0)]
-    least = np.searchsorted(states, least)
-    for array in (least, fill):
-        array.setflags(write=False)
-    return least, fill
+    fill.setflags(write=False)
+    return fill
 
 
 class DihedralBlocks(NamedTuple):
@@ -230,7 +228,9 @@ class DihedralBlocks(NamedTuple):
     coefficients[s, c] at columns[s, c], at most two entries.  The sector's eigenpairs come copy after
     copy, each in its block's order; slots holds each one's place p * width + i among the solved
     blocks' eigenpairs padded to (blocks, width), and copies its copy.  groups holds, per size of
-    solved block, (the blocks of that size, their E and R stacked).
+    solved block, (the blocks of that size, their E and R stacked).  halves holds thermal._orbit_rows'
+    gathers for the centre-0 part (the first C(m, k) states), then the centre-1 part: the rows of each
+    orbit's least state in the padded solved blocks, each state's c * width + column, and coefficients.
     """
 
     columns: np.ndarray  # (states, copies, 2)
@@ -240,6 +240,7 @@ class DihedralBlocks(NamedTuple):
     copies: np.ndarray  # (states,)
     width: int
     groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    halves: tuple[tuple[np.ndarray, ...], ...]  # (orbits, copies, 2) twice, (states, 2 * copies) twice
 
 
 @lru_cache(maxsize=64)
@@ -358,9 +359,14 @@ def dihedral_blocks(m: int, k: int) -> DihedralBlocks:
     part = sizes[first]
     groups = tuple((np.flatnonzero(part == b), *terms[:, part == b, :b, :b])
                    for b in sorted(set(part.tolist())))
-    for array in (columns, coefficients, solved, slots, copy, *(a for group in groups for a in group)):
+    split = math.comb(m, k)  # the gathers of thermal._orbit_rows: the centre-0 part's states come first
+    by_state = (columns + width * np.arange(solved.size)[:, None]).reshape(d, -1), coefficients.reshape(d, -1)
+    parts = zip(np.split(least, [np.searchsorted(least, split)]), (slice(split), slice(split, d)))
+    halves = tuple((solved[:, None] * width + columns[at], coefficients[at], *(x[piece] for x in by_state))
+                   for at, piece in parts)
+    for array in (columns, coefficients, solved, slots, copy, *(a for b in (*groups, *halves) for a in b)):
         array.setflags(write=False)
-    return DihedralBlocks(columns, coefficients, solved, slots, copy, width, groups)
+    return DihedralBlocks(columns, coefficients, solved, slots, copy, width, groups, halves)
 
 
 def _stack(shift: float, epsilon, eta, size: int, flat, central, ring) -> np.ndarray:

@@ -10,12 +10,11 @@ t -> 0+ limit of the Gibbs family.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
-from .operators import (SpinStarParams, dihedral_blocks, packed_entries, packed_positions, packed_qubits,
-                        qubit_subset, ring_orbits, symmetry_hamiltonians)
+from .operators import (SpinStarParams, packed_entries, packed_positions, packed_qubits, qubit_subset,
+                        ring_orbits, symmetry_hamiltonians)
 from .spectra import SpectralDecomposition, stacked_spectra
 
 # Boltzmann weights below this, relative to the ground level's 1, are dropped.
@@ -89,32 +88,14 @@ def star_spectrum(params: SpinStarParams) -> SpectralDecomposition:
     return stacked_spectra(symmetry_hamiltonians([params]))[0]
 
 
-@lru_cache(maxsize=128)
-def _orbit_gathers(m: int, k: int, j: int):
-    """The gathers of _orbit_rows for sector k's part in peripheral block j; cached, read-only.
-
-    Per least state of block j's ring orbits, its <= 2 entries per copy of the sector's dihedral basis:
-    their rows among the solved blocks' padded (blocks * width, width) matrices and their coefficients;
-    then per state of the part, its entries' places among the copies' columns and their coefficients.
-    """
-    dihedral, lo, size = dihedral_blocks(m, k), (0 if j == k else math.comb(m, k)), math.comb(m, j)
-    least, part = ring_orbits(m, j)[0] + lo, slice(lo, lo + size)
-    offsets = dihedral.width * np.arange(dihedral.solved.size)[:, None]
-    gathers = (dihedral.solved[:, None] * dihedral.width + dihedral.columns[least],
-               dihedral.coefficients[least], (dihedral.columns[part] + offsets).reshape(size, -1),
-               dihedral.coefficients[part].reshape(size, -1))
-    for array in gathers:
-        array.setflags(write=False)
-    return gathers
-
-
-def _orbit_rows(gibbs, m: int, k: int, j: int) -> np.ndarray:
-    """Sector k's Gibbs block Q (+)_c M_solved[c] Q^T, part in block j, at its orbits' least rows only.
+def _orbit_rows(gibbs, half) -> np.ndarray:
+    """A dihedral sector's Gibbs block Q (+)_c M_solved[c] Q^T, one part, at its orbits' least rows only.
 
     gibbs holds M_p = U_p diag(w) U_p^T per solved block p over cells x temperatures, padded to
-    (..., blocks, width, width); each row and column gathers its <= 2 entries per copy of the basis.
+    (..., blocks, width, width); half is the part's gathers (operators.DihedralBlocks.halves): each row
+    and column gathers its <= 2 entries per copy of the basis.
     """
-    rows, row_entries, columns, column_entries = _orbit_gathers(m, k, j)
+    rows, row_entries, columns, column_entries = half
     left = np.einsum("...rcij,rci->...rcj", np.take(gibbs.reshape(*gibbs.shape[:-3], -1, gibbs.shape[-1]),
                                                     rows, axis=-2), row_entries)  # Q[least] M, per copy
     picked = np.take(left.reshape(*left.shape[:-2], -1), columns, axis=-1)
@@ -128,9 +109,9 @@ def reduced_state(spectra, params: SpinStarParams, temperatures) -> np.ndarray:
     if their sector 0, the vacuum, does not sit at -(m+1)*omega/2.  Of sector k's Gibbs block only the
     centre-0 part (its first C(m, k) states) and the centre-1 part are formed, over all cells x
     temperatures at once, from the eigenvectors that any cell keeps.  A sector solved whole forms each
-    part as one product V_k diag(w) V_k^T.  A dihedral sector (operators.dihedral_blocks) forms
-    M_p = U_p diag(w) U_p^T per solved block, then only the rows of each ring orbit's least state,
-    sum_c Q_c[least] M_p Q_c^T, and fills the part from them by rotation (operators.ring_orbits): the
+    part as one product V_k diag(w) V_k^T.  A dihedral sector forms M_p = U_p diag(w) U_p^T per solved
+    block, then only the rows of each ring orbit's least state, sum_c Q_c[least] M_p Q_c^T, through its
+    basis's gathers (DihedralBlocks.halves), and fills the part by rotation (operators.ring_orbits): the
     Gibbs state commutes with the ring rotation.  Peripheral block j, the centre-0 part of sector j plus
     the centre-1 part of sector j+1, is symmetrized and written to its place in the packed layout
     (operators.packed_positions), and each state divided by its own trace.  No 2^m x 2^m matrix is formed.
@@ -166,19 +147,18 @@ def reduced_state(spectra, params: SpinStarParams, temperatures) -> np.ndarray:
         if n:
             vectors = np.array([s.blocks[k][3][..., :n] for s in spectra])[:, None]
             gibbs = (vectors * padded[..., :n]) @ vectors.swapaxes(-1, -2)
-            for j, _, _ in halves:
-                rows[j].append(_orbit_rows(gibbs, m, k, j))
+            for j, _, _ in halves:  # at k = m+1 both parts start at 0: the centre-1 part is j = k-1
+                rows[j].append(_orbit_rows(gibbs, dihedral.halves[j != k]))
     base, rank = packed_positions(m)
-    rho = np.empty((*weights.shape[:2], math.comb(2 * m, m)))
+    rho = np.zeros((*weights.shape[:2], math.comb(2 * m, m)))
     for j, (block, least) in enumerate(zip(parts, rows)):
         if least:
             least = sum(least[1:], least[0])
-            block.append(least.reshape(*least.shape[:-2], -1).take(ring_orbits(m, j)[1], axis=-1))
+            block.append(least.reshape(*least.shape[:-2], -1).take(ring_orbits(m, j), axis=-1))
+        if not block:
+            continue
         size, start = math.comb(m, j), base[(1 << j) - 1]  # the block's least state: j excitations lowest
         out = rho[..., start:start + size * size].reshape(*rho.shape[:-1], size, size)
-        if not block:
-            out[...] = 0.0
-            continue
         block = sum(block[1:], block[0])
         np.add(block, block.swapaxes(-1, -2), out=out)
         out *= 0.5

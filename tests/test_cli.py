@@ -307,8 +307,8 @@ GOLDEN_CSV = [
                  "m,omega,epsilon,eta,ground_energy,ground_degeneracy,analytic_ground_fidelity\n"
                  "4,1,1,2,-6.17558231893,1,\n", id="ground-m4"),
     pytest.param(("spectrum", "--m", "2", "--epsilon", "1", "--eta", "0.5"),
-                 "index,eigenvalue,sector\n0,-1.5,1\n1,-1.5,0\n2,-1.5,1\n3,-0.5,2\n"
-                 "4,-0.5,2\n5,1.5,3\n6,1.5,1\n7,2.5,2\n", id="spectrum-m2"),
+                 "index,eigenvalue,sector\n0,-1.5,0\n1,-1.5,1\n2,-1.5,1\n3,-0.5,2\n"
+                 "4,-0.5,2\n5,1.5,1\n6,1.5,3\n7,2.5,2\n", id="spectrum-m2"),
     pytest.param(("negativity", "--m", "3", "--epsilon", "1", "--eta", "0.5", "--t", "0.1"),
                  "epsilon,eta,t,neg_multi,neg_cut_1,neg_cut_2,neg_cut_3,ground_energy,"
                  "ground_degeneracy,degenerate_cell\n"
@@ -332,20 +332,20 @@ GOLDEN_CSV = [
                  "0,1,1,0.0392818740356,0.0392818740356,0.0392818740356,0.0392818740356,-2,3,true\n"
                  "0.5,1,1,0.0212968172851,0.0212968172851,0.0212968172851,0.0212968172851,-2,3,true\n"
                  "1,1,1,0,0,0,0,-2,6,true\n", id="sweep-m3"),
-    # the whole table; abs_dev and the order of a level's sectors are rounding-level
+    # the whole table, each level's rows by sector; only abs_dev is rounding-level
     pytest.param(("spectrum", "--m", "3", "--epsilon", "1", "--eta", "0.5"),
                  "index,eigenvalue,sector,analytic,abs_dev\n"
                  "0,-2.30277563773,1,-2.30277563773,0\n"
                  "1,-2,0,-2,0\n"
-                 "2,-1.5,2,-1.5,1.11022302463e-15\n"
-                 "3,-1.5,2,-1.5,8.881784197e-16\n"
-                 "4,-1.5,1,-1.5,2.22044604925e-16\n"
-                 "5,-1.5,1,-1.5,2.22044604925e-16\n"
+                 "2,-1.5,1,-1.5,2.22044604925e-16\n"
+                 "3,-1.5,1,-1.5,2.22044604925e-16\n"
+                 "4,-1.5,2,-1.5,1.11022302463e-15\n"
+                 "5,-1.5,2,-1.5,8.881784197e-16\n"
                  "6,-1,2,-1,4.4408920985e-16\n"
                  "7,-0.302775637732,3,-0.302775637732,1.11022302463e-16\n"
                  "8,0.5,2,0.5,2.22044604925e-16\n"
-                 "9,0.5,3,0.5,2.22044604925e-16\n"
-                 "10,0.5,2,0.5,0\n"
+                 "9,0.5,2,0.5,0\n"
+                 "10,0.5,3,0.5,2.22044604925e-16\n"
                  "11,0.5,3,0.5,0\n"
                  "12,1.30277563773,1,1.30277563773,0\n"
                  "13,2,4,2,0\n"

@@ -185,6 +185,49 @@ def test_dihedral_blocks_reject_terms_the_ring_does_not_keep(monkeypatch):
         operators.dihedral_blocks.__wrapped__(m, k)
 
 
+def ring_rotations(state, m):
+    """The m rotations of a state's m ring spins (its low bits), any centre bit kept, in Python ints."""
+    ring, mask = state & ((1 << m) - 1), (1 << m) - 1
+    return [state & ~mask | (ring << r | ring >> (m - r)) & mask for r in range(m)]
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+def test_dihedral_halves_gather_each_orbit_least_state(m):
+    # the Gibbs step's gathers come with the basis: per part, one row per ring orbit at its least
+    # state, and every state's entries per copy; sector 0 has no centre-1 part, sector m+1 no centre-0
+    for k in range(m + 2):
+        dihedral = operators.dihedral_blocks(m, k)
+        states = [s for s in range(2 ** (m + 1)) if s.bit_count() == k]
+        least = sorted({min(ring_rotations(s, m)) for s in states})
+        copies, width = dihedral.solved.size, dihedral.width
+        by_state = ((dihedral.columns + width * np.arange(copies)[:, None]).reshape(len(states), -1),
+                    dihedral.coefficients.reshape(len(states), -1))
+        assert len(dihedral.halves) == 2
+        for centre, half in enumerate(dihedral.halves):
+            rows = [states.index(s) for s in least if s >> m == centre]
+            part = [i for i, s in enumerate(states) if s >> m == centre]
+            expected = (dihedral.solved[:, None] * width + dihedral.columns[rows],
+                        dihedral.coefficients[rows], *(x[part] for x in by_state))
+            shapes = [(len(rows), copies, 2)] * 2 + [(len(part), 2 * copies)] * 2
+            assert [array.shape for array in half] == shapes
+            for array, reference in zip(half, expected):
+                assert np.array_equal(array, reference) and not array.flags.writeable
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+def test_ring_orbits_fill_rebuilds_a_rotation_invariant_matrix(m):
+    # an entry per rotation orbit of the pair (s, s'): exactly invariant, so a pure gather rebuilds it
+    values = np.random.default_rng(70 + m).normal(size=4 ** m)
+    for j in range(m + 1):
+        states = [s for s in range(2 ** m) if s.bit_count() == j]
+        turns = np.array([ring_rotations(s, m) for s in states])
+        g = values[(turns[:, None, :] << m | turns[None, :, :]).min(axis=-1)]
+        least = sorted({min(ring_rotations(s, m)) for s in states})
+        fill = operators.ring_orbits(m, j)
+        assert fill.shape == (len(states),) * 2 and not fill.flags.writeable
+        assert np.array_equal(g[[states.index(s) for s in least]].ravel()[fill], g)
+
+
 @pytest.mark.parametrize("m, epsilon, eta, degeneracy", [(8, 1.0, 1.0, 1), (9, 1.0, 1.0, 2)])
 def test_block_form_vectors_give_the_dense_projector(m, epsilon, eta, degeneracy):
     # the ground level in a dihedral sector (sector 3): alone at m=8, a +-kappa pair at m=9
