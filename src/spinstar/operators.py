@@ -27,15 +27,6 @@ MAX_M = 11
 # their differences, so every step stays far from the float64 range.
 MAX_ENERGY = 1e150
 
-# Sectors of at least this dimension are solved in dihedral blocks (dihedral_blocks), and a
-# one-spin cut's charge blocks of at least this dimension are split by the ring
-# reflection that fixes the cut spin (entanglement.negativity), from m=7 and m=8
-# on respectively.  Single-threaded, warm: one sector's build and solve, direct against
-# blocks, 0.12 against 0.10 ms at d=36, 0.23 against 0.10 at d=56, 0.51 against 0.18 at d=84;
-# one cut, split against whole, 0.40 against 0.42 ms at m=8 (70 states), 1.1 against 1.5 at m=9.
-SYMMETRY_MIN_DIM = 60
-
-
 @dataclass(frozen=True)
 class SpinStarParams:
     """Physical parameters of a spin-star network.
@@ -156,9 +147,11 @@ def build_hamiltonian(params: SpinStarParams) -> np.ndarray:
     evaluation path never forms it.
     """
     h = np.zeros((2 ** params.n_qubits,) * 2)
-    for k, states, *terms in sector_terms(params.m):
-        shift = params.omega * (k - (params.m + 1) / 2)
-        h[states[:, None], states] = _stack(shift, [[params.epsilon]], [[params.eta]], states.size, *terms)[0]
+    for k, states, flat, central, ring in sector_terms(params.m):
+        block = np.zeros(states.size ** 2)
+        block[flat] = params.epsilon * central + params.eta * ring
+        block[::states.size + 1] += params.omega * (k - (params.m + 1) / 2)
+        h[states[:, None], states] = block.reshape(states.size, states.size)
     return h
 
 
@@ -369,30 +362,18 @@ def dihedral_blocks(m: int, k: int) -> DihedralBlocks:
     return DihedralBlocks(columns, coefficients, solved, slots, copy, width, groups, halves)
 
 
-def _stack(shift: float, epsilon, eta, size: int, flat, central, ring) -> np.ndarray:
-    """shift*I + epsilon_i*central + eta_i*ring (raveled, at flat) per row i of the (cells, 1) couplings."""
-    blocks = np.zeros((len(epsilon), size * size))
-    blocks[:, flat] = epsilon * central.ravel() + eta * ring.ravel()
-    blocks[:, ::size + 1] += shift
-    return blocks.reshape(-1, size, size)
-
-
 def symmetry_hamiltonians(cells):
-    """Yield (k, states, stack) for k = 0..m+1, stacked over cells sharing m and omega, for stacked_spectra.
+    """Yield (k, states, (dihedral_blocks(m, k), stacks)) for k = 0..m+1, for stacked_spectra.
 
-    stack[i] = omega*(k - (m+1)/2)*I + epsilon_i*E_k + eta_i*R_k for the i-th SpinStarParams of
-    cells; a sector of SYMMETRY_MIN_DIM states or more comes as (dihedral_blocks(m, k), [(cells, blocks,
-    size, size) stack per group of its solved blocks]) instead.  ValueError if they do not.
+    stacks holds, per group of sector k's equal solved blocks, their (cells, blocks, size, size) stack
+    omega*(k - (m+1)/2)*I + epsilon_i*E + eta_i*R for the i-th SpinStarParams of cells, with E and R the
+    blocks of E_k and R_k.  The cells must share m and omega; ValueError if they do not.
     """
     m, omega = cells[0].m, cells[0].omega
     if any(p.m != m or p.omega != omega for p in cells):
         raise ValueError(f"the cells of a stack must share m={m} and omega={omega}")
-    epsilon, eta = np.array([[p.epsilon, p.eta] for p in cells]).T[:, :, None]  # each (cells, 1)
-    for k, states, *terms in sector_terms(m):
-        shift = omega * (k - (m + 1) / 2)
-        if states.size < SYMMETRY_MIN_DIM:
-            yield k, states, _stack(shift, epsilon, eta, states.size, *terms)
-        else:
-            blocks = dihedral_blocks(m, k)
-            yield k, states, (blocks, [epsilon[..., None, None] * e + eta[..., None, None] * r
-                                       + shift * np.eye(len(e[0])) for _, e, r in blocks.groups])
+    epsilon, eta = np.array([[p.epsilon, p.eta] for p in cells]).T[:, :, None, None, None]  # (cells, 1, 1, 1)
+    for k, states, *_ in sector_terms(m):
+        shift, blocks = omega * (k - (m + 1) / 2), dihedral_blocks(m, k)
+        yield k, states, (blocks, [epsilon * e + eta * r + shift * np.eye(len(e[0]))
+                                   for _, e, r in blocks.groups])

@@ -19,9 +19,10 @@ class SpectralDecomposition:
 
     eigenvalues ascend, exact ties in block order; sector_labels holds each
     one's block label and gaps its level energy minus the lowest.  blocks holds
-    (label, states, dihedral, eigenvectors) per block: dihedral None and the
-    eigenvectors over states, or the sector's operators.DihedralBlocks and its
-    solved blocks' eigenvectors, padded to (blocks, width, width).  ranks holds
+    (label, states, dihedral, eigenvectors) per block: the sector's
+    operators.DihedralBlocks and its solved blocks' eigenvectors, padded to
+    (blocks, width, width), or, from a dense oracle such as spectrum_blocked,
+    dihedral None and the eigenvectors over states.  ranks holds
     the place in eigenvalues of each block's eigenvalues, block after block, in
     the order _eigh returns them.
     """
@@ -77,9 +78,10 @@ def _hermitian(op: np.ndarray) -> np.ndarray:
 
 
 def _eigh(stack):
-    """(dihedral, eigenvalues, eigenvectors) of a (cells, d, d) stack, dihedral None, ascending, or of
-    a sector's (DihedralBlocks, [stack per group of equal solved blocks]): its eigenvalues copy after
-    copy, and its solved blocks' eigenvectors padded to (cells, blocks, width, width)."""
+    """(dihedral, eigenvalues, eigenvectors) of a dense oracle's (cells, d, d) stack, dihedral None,
+    ascending, or of a sector's (DihedralBlocks, [stack per group of equal solved blocks]): its
+    eigenvalues copy after copy, and its solved blocks' eigenvectors padded to (cells, blocks, width,
+    width)."""
     if isinstance(stack, np.ndarray):
         return None, *np.linalg.eigh(_hermitian(stack))
     dihedral, groups = stack

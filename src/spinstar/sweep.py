@@ -26,10 +26,10 @@ from .thermal import check_temperature, reduced_state
 # 490 B at m=11 (tracemalloc): this keeps a sweep's records under 0.5 GB.
 MAX_SWEEP_RECORDS = 10 ** 6
 
-# A stack holds at most about this many bytes: per cell, its sector blocks (C(2m+2, m+1) floats, the
-# dense sectors' size, an upper bound once sectors are dihedral) and all its packed states (C(2m, m)
-# floats per temperature); at four temperatures 54 m=3 cells, 4 at m=5 and one at m=6, and a lone
-# cell overflows it from m=7 on.
+# A stack holds at most about this many bytes: per cell, its sector blocks (counted as C(2m+2, m+1)
+# floats, the squared sector sizes summed, an upper bound on its dihedral blocks) and all its packed
+# states (C(2m, m) floats per temperature); at four temperatures 54 m=3 cells, 4 at m=5 and one at
+# m=6, and a lone cell overflows it from m=7 on.
 # 1 MiB, with 4^m-float states, ran sweep-m3 0-9 % faster but raised its peak RSS from 35.3 to 38.6 MiB.
 MAX_STACK_BYTES = 64 * 1024
 

@@ -105,20 +105,22 @@ def _orbit_rows(gibbs, half) -> np.ndarray:
 def reduced_state(spectra, params: SpinStarParams, temperatures) -> np.ndarray:
     """Gibbs states with the central spin traced out, packed: a (cells, temperatures, C(2m, m)) stack.
 
-    spectra come from one stacked_spectra call, of cells sharing params.m and params.omega; ValueError
-    if their sector 0, the vacuum, does not sit at -(m+1)*omega/2.  Of sector k's Gibbs block only the
+    spectra come from one stacked_spectra call of symmetry_hamiltonians, of cells sharing params.m and
+    params.omega; ValueError for any other spectra (a dense oracle's), or if their sector 0, the vacuum,
+    does not sit at -(m+1)*omega/2.  Of sector k's Gibbs block only the
     centre-0 part (its first C(m, k) states) and the centre-1 part are formed, over all cells x
-    temperatures at once, from the eigenvectors that any cell keeps.  A sector solved whole forms each
-    part as one product V_k diag(w) V_k^T.  A dihedral sector forms M_p = U_p diag(w) U_p^T per solved
-    block, then only the rows of each ring orbit's least state, sum_c Q_c[least] M_p Q_c^T, through its
-    basis's gathers (DihedralBlocks.halves), and fills the part by rotation (operators.ring_orbits): the
-    Gibbs state commutes with the ring rotation.  Peripheral block j, the centre-0 part of sector j plus
-    the centre-1 part of sector j+1, is symmetrized and written to its place in the packed layout
+    temperatures at once, from the eigenvectors that any cell keeps: M_p = U_p diag(w) U_p^T per solved
+    dihedral block, then only the rows of each ring orbit's least state, sum_c Q_c[least] M_p Q_c^T,
+    through the basis's gathers (operators.DihedralBlocks.halves).  Peripheral block j sums those rows of
+    the centre-0 part of sector j and the centre-1 part of sector j+1 and is filled from them by rotation
+    (operators.ring_orbits): the Gibbs state commutes with the ring rotation, and each block is exactly
+    invariant under it.  The block is symmetrized and written to its place in the packed layout
     (operators.packed_positions), and each state divided by its own trace.  No 2^m x 2^m matrix is formed.
     """
     kts, m = [check_temperature(t) * params.omega for t in temperatures], params.m
-    if any([block[0] for block in spec.blocks] != list(range(m + 2)) for spec in spectra):
-        raise ValueError(f"expected the excitation-sector spectrum of an m={m} star")
+    if any([block[0] for block in spec.blocks] != list(range(m + 2))
+           or any(block[2] is None for block in spec.blocks) for spec in spectra):
+        raise ValueError(f"expected the dihedral excitation-sector spectrum of an m={m} star")
     vacuum = np.array([spec.eigenvalues[spec.ranks[0]] for spec in spectra])
     if not np.all(abs(vacuum + (m + 1) * params.omega / 2) <= 1e-12 * (m + 1) * params.omega):
         raise ValueError(f"the spectra's vacuum levels {vacuum} are not -(m+1)*omega/2 "
@@ -126,40 +128,30 @@ def reduced_state(spectra, params: SpinStarParams, temperatures) -> np.ndarray:
     # each sector's weights in its blocks' order, gathered once
     gaps, ranks = np.array([spec.gaps for spec in spectra]), np.array([spec.ranks for spec in spectra])
     weights = _boltzmann(np.take_along_axis(gaps, ranks, axis=-1)[:, None], kts)
-    # peripheral block j's parts formed whole, and the rows of its orbits' least states
-    parts, rows, start = [[] for _ in range(m + 1)], [[] for _ in range(m + 1)], 0
+    # the rows of peripheral block j's orbits' least states, from sector j's centre-0 part (its first
+    # C(m, j) states) and sector j+1's centre-1 part
+    rows, start = [[] for _ in range(m + 1)], 0
     for k in range(m + 2):
         dihedral, d = spectra[0].blocks[k][2], math.comb(m + 1, k)
         w, start = weights[..., start:start + d], start + d
-        # the centre-0 part (the first C(m, k) states) falls in block k, the centre-1 part in block k-1
-        halves = [(j, lo, math.comb(m, j)) for j, lo in ((k, 0), (k - 1, math.comb(m, k))) if 0 <= j <= m]
-        if dihedral is None:
-            # weights fall along a sector's levels, so each state keeps a prefix of them
-            n = int(np.count_nonzero(w.any(axis=(0, 1))))
-            vectors, w = np.array([s.blocks[k][3][:, :n] for s in spectra])[:, None], w[..., None, :n]
-            for j, lo, size in halves:
-                half = vectors[..., lo:lo + size, :]
-                parts[j].append((half * w) @ half.swapaxes(-1, -2))
-            continue
         padded = np.zeros((*w.shape[:2], dihedral.solved.max() + 1, 1, dihedral.width))
         padded.reshape(*w.shape[:2], -1)[..., dihedral.slots] = w  # a partner copy writes its block's again
         n = int(np.count_nonzero(padded.any(axis=(0, 1, 2, 3))))
         if n:
             vectors = np.array([s.blocks[k][3][..., :n] for s in spectra])[:, None]
             gibbs = (vectors * padded[..., :n]) @ vectors.swapaxes(-1, -2)
-            for j, _, _ in halves:  # at k = m+1 both parts start at 0: the centre-1 part is j = k-1
-                rows[j].append(_orbit_rows(gibbs, dihedral.halves[j != k]))
+            for j, half in zip((k, k - 1), dihedral.halves):
+                if 0 <= j <= m:
+                    rows[j].append(_orbit_rows(gibbs, half))
     base, rank = packed_positions(m)
     rho = np.zeros((*weights.shape[:2], math.comb(2 * m, m)))
-    for j, (block, least) in enumerate(zip(parts, rows)):
-        if least:
-            least = sum(least[1:], least[0])
-            block.append(least.reshape(*least.shape[:-2], -1).take(ring_orbits(m, j), axis=-1))
-        if not block:
+    for j, least in enumerate(rows):
+        if not least:
             continue
         size, start = math.comb(m, j), base[(1 << j) - 1]  # the block's least state: j excitations lowest
         out = rho[..., start:start + size * size].reshape(*rho.shape[:-1], size, size)
-        block = sum(block[1:], block[0])
+        least = sum(least[1:], least[0])
+        block = least.reshape(*least.shape[:-2], -1).take(ring_orbits(m, j), axis=-1)
         np.add(block, block.swapaxes(-1, -2), out=out)
         out *= 0.5
     rho /= rho.take(base + rank, axis=-1).sum(axis=-1)[..., None]  # the diagonal, summed in basis-index order

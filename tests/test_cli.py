@@ -339,18 +339,18 @@ GOLDEN_CSV = [
                  "1,-2,0,-2,0\n"
                  "2,-1.5,1,-1.5,2.22044604925e-16\n"
                  "3,-1.5,1,-1.5,2.22044604925e-16\n"
-                 "4,-1.5,2,-1.5,1.11022302463e-15\n"
-                 "5,-1.5,2,-1.5,8.881784197e-16\n"
-                 "6,-1,2,-1,4.4408920985e-16\n"
-                 "7,-0.302775637732,3,-0.302775637732,1.11022302463e-16\n"
+                 "4,-1.5,2,-1.5,6.66133814775e-16\n"
+                 "5,-1.5,2,-1.5,6.66133814775e-16\n"
+                 "6,-1,2,-1,0\n"
+                 "7,-0.302775637732,3,-0.302775637732,4.4408920985e-16\n"
                  "8,0.5,2,0.5,2.22044604925e-16\n"
-                 "9,0.5,2,0.5,0\n"
+                 "9,0.5,2,0.5,2.22044604925e-16\n"
                  "10,0.5,3,0.5,2.22044604925e-16\n"
-                 "11,0.5,3,0.5,0\n"
-                 "12,1.30277563773,1,1.30277563773,0\n"
+                 "11,0.5,3,0.5,2.22044604925e-16\n"
+                 "12,1.30277563773,1,1.30277563773,2.22044604925e-16\n"
                  "13,2,4,2,0\n"
-                 "14,3,2,3,2.22044604925e-15\n"
-                 "15,3.30277563773,3,3.30277563773,4.4408920985e-16\n", id="spectrum-m3"),
+                 "14,3,2,3,8.881784197e-16\n"
+                 "15,3.30277563773,3,3.30277563773,0\n", id="spectrum-m3"),
 ]
 
 

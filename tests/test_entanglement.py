@@ -263,7 +263,7 @@ CUT_DIGESTS = {2: "cc5cd753fc0c5050", 3: "db8f1c9a35861dbf", 4: "b3b6303ef9889a4
 def test_one_spin_cut_index_is_unchanged(m):
     digest, entries = hashlib.sha256(), operators.packed_entries(m)
     for k in range(m):
-        part, index, diagonal, layout = entanglement._cut(m, operators.SYMMETRY_MIN_DIM, k)
+        part, index, diagonal, layout = entanglement._cut(m, entanglement.SYMMETRY_MIN_DIM, k)
         digest.update(index.tobytes() + diagonal.tobytes() + repr(layout).encode())
         # each gathered block entry (r, c) is rho's <rest_r own_c| . |rest_c own_r>
         mask = 1 << (m - 1 - k)

@@ -8,8 +8,6 @@ build_hamiltonian places the sector_terms blocks at their states, so it is
 pinned to the bit-flip oracle, and the states to the excitation partition.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -19,7 +17,7 @@ from spinstar.operators import build_hamiltonian, sector_terms, symmetry_hamilto
 from spinstar.spectra import level_energies, spectrum_blocked, stacked_spectra
 from spinstar.thermal import gibbs_state_from_spectrum, partial_trace, reduced_state, unpack
 
-from oracles import brute_partial_transpose, brute_star_hamiltonian, restrict_to_sector
+from oracles import brute_partial_transpose, brute_star_hamiltonian
 
 
 def points(m):
@@ -40,9 +38,6 @@ def test_sector_route_matches_dense_reference(m):
         params = SpinStarParams(m=m, omega=1.0, epsilon=epsilon, eta=eta)
         h = build_hamiltonian(params)
         assert np.array_equal(h, brute_star_hamiltonian(m, 1.0, epsilon, eta))
-        for _, states, stack in symmetry_hamiltonians([params]):
-            if not isinstance(stack, tuple):  # test_translation_blocks_match_dense_route checks the rest
-                assert np.array_equal(stack, restrict_to_sector(h, states)[None])
 
         spec, dense = star_spectrum(params), spectrum_blocked(h)
         scale = np.max(np.abs(dense.eigenvalues))
@@ -93,9 +88,9 @@ def assert_ring_invariant(rho, m, blocks):
 @pytest.mark.parametrize("m", range(2, 8))
 def test_translation_blocks_match_dense_route(m, monkeypatch):
     # every sector in dihedral blocks: short orbits (m=4 0101; m=6 periods 2 and 3), orbits that
-    # are their own mirror and mirror pairs, and the m=2 ring's doubled bond
+    # are their own mirror and mirror pairs, and the m=2 ring's doubled bond;
     # and every one-spin cut's charge blocks split by the ring reflection
-    monkeypatch.setattr(operators, "SYMMETRY_MIN_DIM", 1)
+    monkeypatch.setattr(entanglement, "SYMMETRY_MIN_DIM", 1)
     n = m + 1
     for epsilon, eta, t in [(1.0, 1.0, 0.0)] + points(m):
         params = SpinStarParams(m=m, omega=1.0, epsilon=epsilon, eta=eta)
@@ -124,9 +119,8 @@ def test_translation_blocks_match_dense_route(m, monkeypatch):
 
 @pytest.mark.parametrize("m", [7, 8, 9])
 def test_dihedral_route_at_the_default_threshold(m):
-    # sectors of 60 states or more in dihedral blocks (m=7 sector 4; m=9 sectors 3..7), the rest whole
+    # one-spin cuts' charge blocks of 60 states or more split by the ring reflection (m=8 and 9)
     n = m + 1
-    blocked = [k for k in range(n + 1) if math.comb(n, k) >= operators.SYMMETRY_MIN_DIM]
     for epsilon, eta in [(1.0, 1.0), (1.3, 0.7), (-0.8, 2.4)]:
         params = SpinStarParams(m=m, omega=1.0, epsilon=epsilon, eta=eta)
         spec, dense = star_spectrum(params), spectrum_blocked(build_hamiltonian(params))
@@ -137,26 +131,35 @@ def test_dihedral_route_at_the_default_threshold(m):
             rho = unpack(packed)
             reference = partial_trace(gibbs_state_from_spectrum(dense, t), range(1, n), n)
             assert np.max(np.abs(rho - reference)) <= 1e-12
-            # peripheral block j is fed by sectors j and j+1: exact where both are dihedral
-            assert_ring_invariant(rho, m, [j for j in range(m + 1) if j in blocked and j + 1 in blocked])
+            assert_ring_invariant(rho, m, range(m + 1))
             for k in range(m):
                 assert abs(negativity(packed, (k,)) - negativity(reference, (k,))) <= 1e-12
 
 
-@pytest.mark.parametrize("m, threshold", [(6, 1), (9, None), (10, None)])
-def test_each_kappa_pair_is_solved_once(m, threshold, monkeypatch):
+@pytest.mark.parametrize("m", range(2, 10))
+def test_reduced_states_are_exactly_rotation_invariant(m):
+    # every sector in dihedral blocks at the defaults, so every peripheral block fills from the rows of
+    # its ring orbits' least states: the six-fold crossing and a random coupling pair, cold to warm
+    turned = ring_turn(np.arange(2 ** m), m)
+    couplings = [(1.0, 1.0), tuple(np.random.default_rng(90 + m).uniform(-3.0, 3.0, 2))]
+    for epsilon, eta in couplings:
+        params = SpinStarParams(m=m, omega=1.0, epsilon=epsilon, eta=eta)
+        spec = star_spectrum(params)
+        assert all(isinstance(dihedral, operators.DihedralBlocks) for _, _, dihedral, _ in spec.blocks)
+        for packed in reduced_state([spec], params, [0.0, 0.01, 1.0])[0]:
+            rho = unpack(packed)
+            assert np.array_equal(rho[np.ix_(turned, turned)], rho)
+
+
+@pytest.mark.parametrize("m", [6, 9, 10])
+def test_each_kappa_pair_is_solved_once(m, monkeypatch):
     # an R-even block is solved and its partner copy J Q reuses its eigenpairs; kappa = 0 and m/2 split
-    if threshold is not None:
-        monkeypatch.setattr(operators, "SYMMETRY_MIN_DIM", threshold)
     solved, eigh = [], np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: solved.append(a.shape) or eigh(a))
     params, partners = SpinStarParams(m=m, omega=1.0, epsilon=1.3, eta=0.7), 0
     for k, states, stack in operators.symmetry_hamiltonians([params]):
         solved.clear()
         dihedral, values, _ = spectra._eigh(stack)
-        if dihedral is None:
-            assert solved == [(1, states.size, states.size)]
-            continue
         # one matrix per solved block, none per partner copy, in one call per block size
         assert [shape[1:] for shape in solved] == [e.shape for _, e, _ in dihedral.groups]
         assert len({shape[-1] for shape in solved}) == len(solved)
@@ -172,17 +175,20 @@ def test_each_kappa_pair_is_solved_once(m, threshold, monkeypatch):
 
 
 def test_dihedral_blocks_reject_terms_the_ring_does_not_keep(monkeypatch):
-    # one hop of sector 4 made stronger both ways: E_k stays symmetric but no longer commutes with T
-    m, k = 7, 4
-    terms = list(operators.sector_terms(m))
-    _, states, flat, central, ring = terms[k]
-    row, col = np.divmod(flat, states.size)
-    hop = np.flatnonzero(central)[0]
-    both = np.flatnonzero((row == col[hop]) & (col == row[hop]))[0]
-    terms[k] = (k, states, flat, np.where(np.isin(np.arange(flat.size), [hop, both]), 2.0, central), ring)
-    monkeypatch.setattr(operators, "sector_terms", lambda m: terms)
-    with pytest.raises(AssertionError, match="does not reconstruct its terms"):
-        operators.dihedral_blocks.__wrapped__(m, k)
+    # one hop of m=7 sector 4 made stronger both ways: E_k stays symmetric but no longer commutes with
+    # T; one hop of m=3 sector 1 made one-way: each block Q^T E_k Q is symmetric by construction, so
+    # the basis check rejects it before any solve, for every cell
+    for m, k, both_ways in [(7, 4, True), (3, 1, False)]:
+        terms = list(operators.sector_terms(m))
+        _, states, flat, central, ring = terms[k]
+        row, col = np.divmod(flat, states.size)
+        hop = np.flatnonzero(central)[0]
+        changed = [hop, np.flatnonzero((row == col[hop]) & (col == row[hop]))[0]] if both_ways else [hop]
+        terms[k] = (k, states, flat, np.where(np.isin(np.arange(flat.size), changed), 2.0, central), ring)
+        with monkeypatch.context() as patch:
+            patch.setattr(operators, "sector_terms", lambda m: terms)
+            with pytest.raises(AssertionError, match="does not reconstruct its terms"):
+                operators.dihedral_blocks.__wrapped__(m, k)
 
 
 def ring_rotations(state, m):
@@ -274,7 +280,7 @@ def test_reflection_split_at_the_default_threshold(m, monkeypatch):
     params = SpinStarParams(m=m, omega=1.0, epsilon=1.3, eta=0.7)
     states = reduced_state([star_spectrum(params)], params, [0.0, 0.1])[0]
     split = [[negativity(packed, (k,)) for k in range(m)] for packed in states]
-    monkeypatch.setattr(operators, "SYMMETRY_MIN_DIM", 10 ** 9)
+    monkeypatch.setattr(entanglement, "SYMMETRY_MIN_DIM", 10 ** 9)
     whole = [[negativity(packed, (k,)) for k in range(m)] for packed in states]
     assert np.max(np.abs(np.subtract(split, whole))) <= 1e-12
 
@@ -282,7 +288,7 @@ def test_reflection_split_at_the_default_threshold(m, monkeypatch):
 def test_reflection_breaking_state_is_diagonalized_whole(monkeypatch):
     # a ring state mixed with an excitation-conserving state that no reflection fixes
     m, rng = 4, np.random.default_rng(15)
-    monkeypatch.setattr(operators, "SYMMETRY_MIN_DIM", 1)
+    monkeypatch.setattr(entanglement, "SYMMETRY_MIN_DIM", 1)
     params = SpinStarParams(m=m, omega=1.0, epsilon=1.3, eta=0.7)
     ring = unpack(reduced_state([star_spectrum(params)], params, [0.3])[0, 0])
     noise = np.zeros_like(ring)

@@ -272,6 +272,13 @@ def test_reduced_state_rejects_spectra_of_another_omega():
     assert reduced_state(spectra, cell, [0.1]).shape == (1, 1, math.comb(6, 3))
 
 
+def test_reduced_state_rejects_dense_oracle_spectra():
+    # the Gibbs step reads each sector's dihedral blocks: spectrum_blocked's whole sectors are refused
+    params = SpinStarParams(m=3, omega=1.0, epsilon=1.0, eta=0.5)
+    with pytest.raises(ValueError, match="dihedral"):
+        reduced_state([spectrum_blocked(build_hamiltonian(params))], params, [0.1])
+
+
 def test_reduced_rejects_negative_temperature():
     with pytest.raises(ValueError):
         reduced_thermal_state(SpinStarParams(m=3, omega=1.0, epsilon=1.0, eta=1.0), -0.01)
