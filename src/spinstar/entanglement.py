@@ -10,7 +10,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import excitations, packed_entries, packed_positions, packed_qubits, qubit_count, qubit_subset
+from .operators import (excitations, packed_entries, packed_positions, packed_qubits, qubit_count,
+                        qubit_subset, ring_mirror)
 
 # Values in [NEGATIVITY_FLOOR, ZERO_SNAP] are floating-point noise around an
 # exact zero and are reported as 0; anything below the floor means the input
@@ -69,22 +70,20 @@ def _cut(n_qubits: int, min_dim: int, *part_a):
     blocks hold each packed entry once: index gathers them all, row-major, one block after the other.
     diagonal gathers rho's diagonal in basis-index order.  layout holds, per stack of equal blocks, its
     slice of the gathered values, its (count, size, size) shape and its split.  The ring reflection
-    j -> 2p - j (mod n_qubits) fixes spin p, so it commutes with the transpose over p and keeps q; for a
-    one-spin cut a block of at least min_dim states is ordered (pairs, fixed points, their partners),
-    with split (pairs, fixed points), and any other block ascending, with split None.  Stacks come in
-    the order of their first charge, blocks in charge order.  typed stops a float index from hitting a
-    cached int's entry.
+    j -> 2p - j (mod n_qubits) (operators.ring_mirror) fixes spin p, so it commutes with the transpose
+    over p and keeps q; for a one-spin cut a block of at least min_dim states is ordered (pairs, fixed
+    points, their partners), with split (pairs, fixed points), and any other block ascending, with split
+    None.  Stacks come in the order of their first charge, blocks in charge order.  typed stops a float
+    index from hitting a cached int's entry.
     """
     part = qubit_subset(part_a, n_qubits)
     if len(part) == n_qubits:
         raise ValueError("part_a must be a proper subset of the qubits")
-    dim, spins = 2 ** n_qubits, np.arange(n_qubits)
+    dim = 2 ** n_qubits
     states, excited = np.arange(dim), excitations(n_qubits)
     mask = sum(1 << (n_qubits - 1 - q) for q in part)
     charge = excited - 2 * excited[states & mask] + len(part)  # q + len(part): 0 .. n_qubits
-    # each state with spin j's bit moved to spin 2p - j; only a one-spin cut reads it
-    mirrored = ((states[:, None] >> (n_qubits - 1 - spins) & 1)
-                << (n_qubits - 1 - (2 * part[0] - spins) % n_qubits)).sum(axis=1)
+    mirrored = ring_mirror(states, n_qubits, part[0])  # only a one-spin cut reads it
     sizes = np.bincount(charge, minlength=n_qubits + 1)
     fixed = np.bincount(charge, states == mirrored, n_qubits + 1).astype(int)
     split = (sizes >= min_dim) & (len(part) == 1) & (fixed < sizes)  # a block without pairs stays whole

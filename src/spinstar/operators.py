@@ -198,20 +198,11 @@ def _ring_turns(states: np.ndarray, m: int) -> np.ndarray:
     return (states & ~periphery) | ((states & periphery) >> shifts | states << (m - shifts)) & periphery
 
 
-@lru_cache(maxsize=64)
-def ring_orbits(m: int, j: int) -> np.ndarray:
-    """The fill of the m-spin states with j excitations, ascending; cached, read-only.
-
-    A matrix G on these states that the ring rotation keeps, G[T s, T s'] = G[s, s'], is its rows at
-    the orbits' least states, in ascending order, raveled and taken at fill, an (states, states)
-    index: G[s, s'] = G[a, T^r s'] where T^r s = a is its orbit's least state.
-    """
-    states = np.flatnonzero(excitations(m) == j)
-    turns = _ring_turns(states, m)
-    orbit = np.unique(turns.min(axis=0), return_inverse=True)[1]
-    fill = orbit.reshape(-1, 1) * states.size + np.searchsorted(states, turns)[turns.argmin(axis=0)]
-    fill.setflags(write=False)
-    return fill
+def ring_mirror(states: np.ndarray, m: int, spin: int = 0) -> np.ndarray:
+    """Each state with ring spin j (bit m-1-j) moved to spin 2*spin - j (mod m), bits above the ring kept."""
+    spins = np.arange(m)
+    return (states & ~((1 << m) - 1)) | ((states[..., None] >> (m - 1 - spins) & 1)
+                                         << (m - 1 - (2 * spin - spins) % m)).sum(axis=-1)
 
 
 class DihedralBlocks(NamedTuple):
@@ -224,6 +215,8 @@ class DihedralBlocks(NamedTuple):
     solved block, (the blocks of that size, their E and R stacked).  halves holds thermal._orbit_rows'
     gathers for the centre-0 part (the first C(m, k) states), then the centre-1 part: the rows of each
     orbit's least state in the padded solved blocks, each state's c * width + column, and coefficients.
+    fill rebuilds the centre-0 part of a matrix G with G[T s, T s'] = G[s, s'] from its rows at the part's
+    orbits' least states, ascending, raveled: G[s, s'] = G[a, T^r s'], where T^r s = a is s's least state.
     """
 
     columns: np.ndarray  # (states, copies, 2)
@@ -234,33 +227,33 @@ class DihedralBlocks(NamedTuple):
     width: int
     groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     halves: tuple[tuple[np.ndarray, ...], ...]  # (orbits, copies, 2) twice, (states, 2 * copies) twice
+    fill: np.ndarray  # (C(m, k), C(m, k))
 
 
 @lru_cache(maxsize=64)
 def dihedral_blocks(m: int, k: int) -> DihedralBlocks:
     """Sector k in real blocks of the ring's rotation T (spin j to j+1) and reflection R (j to -j); cached.
 
-    Both commute with H and fix the centre.  T splits the sector into orbits, and an orbit of period L
-    carries momentum kappa when kappa*L = 0 (mod m).  R maps an orbit's cosine and sine states (Sandvik,
-    arXiv:1101.3281) to those of its mirror orbit, and kappa to -kappa.  So for 0 < kappa < m/2 the
-    R-even combinations, one per orbit, give one block that is solved, and J = (T - T^-1) / (2 sin
-    2pi kappa/m), which commutes with H and maps them onto the R-odd ones, gives its partner copy with
+    Both commute with H and fix the centre; R is ring_mirror.  T splits the sector into orbits, and an
+    orbit of period L carries momentum kappa when kappa*L = 0 (mod m).  R maps an orbit's cosine and sine
+    states (Sandvik, arXiv:1101.3281) to those of its mirror orbit, and kappa to -kappa.  So for 0 < kappa
+    < m/2 the R-even combinations, one per orbit, give one block that is solved, and J = (T - T^-1) / (2
+    sin 2pi kappa/m), which commutes with H and maps them onto the R-odd ones, gives its partner copy with
     the same spectrum.  kappa = 0 and m/2 split into an R-even and an R-odd block.  Each row of a copy
     holds at most two entries, built from the orbits' least states in O(states * m), and E = Q^T E_k Q,
-    R = Q^T R_k Q come from the hops.  Raises AssertionError unless the basis is orthonormal on each
-    orbit and its mirror, and E_k Q = Q E, R_k Q = Q R hold on each orbit's least state, to 1e-12.
+    R = Q^T R_k Q come from the hops.  The same orbits give the Gibbs step's gathers (halves) and the
+    centre-0 part's fill.  Raises AssertionError unless the basis is orthonormal on each orbit and its
+    mirror, and E_k Q = Q E, R_k Q = Q R hold on each orbit's least state, to 1e-12.
     """
     _, states, flat, central, ring = sector_terms(m)[k]
     d, turns = states.size, _ring_turns(states, m)
     period = np.vstack([turns[1:] == states, np.ones(d, bool)]).argmax(axis=0) + 1
     least, orbit = np.unique(turns.min(axis=0), return_inverse=True)
     orbit, least = orbit.ravel(), np.searchsorted(states, least)
-    position = -turns.argmin(axis=0) % period  # the state is its orbit's least one turned this far
-    # R = T after reversing the ring bits: each orbit's mirror orbit, turned `shift` from its least state
-    bits = np.arange(m)
-    flipped = ((states[least] & ~((1 << m) - 1))
-               | ((states[least, None] >> bits & 1) << (m - 1 - bits)).sum(axis=1))
-    mirror = np.searchsorted(states, _ring_turns(flipped, m)[1])
+    lowest = turns.argmin(axis=0)  # the turn that takes each state to its orbit's least one
+    position = -lowest % period  # the state is its orbit's least one turned this far
+    # each orbit's mirror orbit, turned `shift` from its least state
+    mirror = np.searchsorted(states, ring_mirror(states[least], m))
     partner, shift = orbit[mirror][orbit], position[mirror][orbit]
     lower, upper, alone = orbit < partner, orbit > partner, orbit == partner
     group = np.minimum(orbit, partner)
@@ -352,14 +345,16 @@ def dihedral_blocks(m: int, k: int) -> DihedralBlocks:
     part = sizes[first]
     groups = tuple((np.flatnonzero(part == b), *terms[:, part == b, :b, :b])
                    for b in sorted(set(part.tolist())))
-    split = math.comb(m, k)  # the gathers of thermal._orbit_rows: the centre-0 part's states come first
+    split = math.comb(m, k)  # the centre-0 part's states come first, and so do its orbits
+    fill = orbit[:split, None] * split + np.searchsorted(states[:split], turns[:, :split])[lowest[:split]]
     by_state = (columns + width * np.arange(solved.size)[:, None]).reshape(d, -1), coefficients.reshape(d, -1)
     parts = zip(np.split(least, [np.searchsorted(least, split)]), (slice(split), slice(split, d)))
     halves = tuple((solved[:, None] * width + columns[at], coefficients[at], *(x[piece] for x in by_state))
                    for at, piece in parts)
-    for array in (columns, coefficients, solved, slots, copy, *(a for b in (*groups, *halves) for a in b)):
+    for array in (columns, coefficients, solved, slots, copy, fill,
+                  *(a for b in (*groups, *halves) for a in b)):
         array.setflags(write=False)
-    return DihedralBlocks(columns, coefficients, solved, slots, copy, width, groups, halves)
+    return DihedralBlocks(columns, coefficients, solved, slots, copy, width, groups, halves, fill)
 
 
 def symmetry_hamiltonians(cells):

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .operators import (SpinStarParams, packed_entries, packed_positions, packed_qubits, qubit_subset,
-                        ring_orbits, symmetry_hamiltonians)
+                        symmetry_hamiltonians)
 from .spectra import SpectralDecomposition, stacked_spectra
 
 # Boltzmann weights below this, relative to the ground level's 1, are dropped.
@@ -151,7 +151,7 @@ def reduced_state(spectra, params: SpinStarParams, temperatures) -> np.ndarray:
         size, start = math.comb(m, j), base[(1 << j) - 1]  # the block's least state: j excitations lowest
         out = rho[..., start:start + size * size].reshape(*rho.shape[:-1], size, size)
         least = sum(least[1:], least[0])
-        block = least.reshape(*least.shape[:-2], -1).take(ring_orbits(m, j), axis=-1)
+        block = least.reshape(*least.shape[:-2], -1).take(spectra[0].blocks[j][2].fill, axis=-1)
         np.add(block, block.swapaxes(-1, -2), out=out)
         out *= 0.5
     rho /= rho.take(base + rank, axis=-1).sum(axis=-1)[..., None]  # the diagonal, summed in basis-index order

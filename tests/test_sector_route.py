@@ -221,17 +221,33 @@ def test_dihedral_halves_gather_each_orbit_least_state(m):
 
 
 @pytest.mark.parametrize("m", range(2, 10))
-def test_ring_orbits_fill_rebuilds_a_rotation_invariant_matrix(m):
+def test_dihedral_fill_rebuilds_a_rotation_invariant_matrix(m):
     # an entry per rotation orbit of the pair (s, s'): exactly invariant, so a pure gather rebuilds it
+    # from the rows of sector j's centre-0 part, the m-spin states with j excitations
     values = np.random.default_rng(70 + m).normal(size=4 ** m)
     for j in range(m + 1):
         states = [s for s in range(2 ** m) if s.bit_count() == j]
         turns = np.array([ring_rotations(s, m) for s in states])
         g = values[(turns[:, None, :] << m | turns[None, :, :]).min(axis=-1)]
         least = sorted({min(ring_rotations(s, m)) for s in states})
-        fill = operators.ring_orbits(m, j)
+        fill = operators.dihedral_blocks(m, j).fill
         assert fill.shape == (len(states),) * 2 and not fill.flags.writeable
         assert np.array_equal(g[[states.index(s) for s in least]].ravel()[fill], g)
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+def test_ring_mirror_reflects_through_each_spin(m):
+    # ring spin j is bit m-1-j; the centre bit above the ring stays
+    states = np.arange(2 ** (m + 1))
+    turns = operators._ring_turns(states, m)
+    for p in range(m):
+        brute = [s & ~((1 << m) - 1) | sum((s >> (m - 1 - j) & 1) << (m - 1 - (2 * p - j) % m)
+                                           for j in range(m)) for s in range(2 ** (m + 1))]
+        mirrored = operators.ring_mirror(states, m, p)
+        assert mirrored.tolist() == brute
+        assert np.array_equal(operators.ring_mirror(mirrored, m, p), states)
+        # R T = T^-1 R
+        assert np.array_equal(operators.ring_mirror(turns[1], m, p), operators._ring_turns(mirrored, m)[-1])
 
 
 @pytest.mark.parametrize("m, epsilon, eta, degeneracy", [(8, 1.0, 1.0, 1), (9, 1.0, 1.0, 2)])
