@@ -69,50 +69,45 @@ def _cut(n_qubits: int, min_dim: int, *part_a):
     q = popcount(rest bits) - popcount(part bits) = popcount(i) - 2*popcount(i & mask), and its charge
     blocks hold each packed entry once: index gathers them all, row-major, one block after the other.
     diagonal gathers rho's diagonal in basis-index order.  layout holds, per stack of equal blocks, its
-    slice of the gathered values, its (count, size, size) shape and its split.  The ring reflection
-    j -> 2p - j (mod n_qubits) (operators.ring_mirror) fixes spin p, so it commutes with the transpose
-    over p and keeps q; for a one-spin cut a block of at least min_dim states is ordered (pairs, fixed
-    points, their partners), with split (pairs, fixed points), and any other block ascending, with split
-    None.  Stacks come in the order of their first charge, blocks in charge order.  typed stops a float
-    index from hitting a cached int's entry.
+    slice of the gathered values, its (count, size, size) shape and its split.  The blocks are laid out
+    one charge at a time, each filed under its (size, split), so stacks come in the order of their first
+    charge and blocks in charge order.  The ring reflection j -> 2p - j (mod n_qubits)
+    (operators.ring_mirror) fixes spin p, so it commutes with the transpose over p and keeps q; for a
+    one-spin cut a block of at least min_dim states with pairs is ordered (pairs, fixed points, their
+    partners), with split (pairs, fixed points), and any other block ascending, with split None.  Any
+    other spelling of a cut (unsorted, repeated, numpy or bool spins) is looked up as its sorted int
+    tuple and shares that entry's arrays; typed stops a float index from hitting a cached int's entry.
     """
     part = qubit_subset(part_a, n_qubits)
+    if part != part_a or any(type(q) is not int for q in part_a):
+        return _cut(n_qubits, min_dim, *part)
     if len(part) == n_qubits:
         raise ValueError("part_a must be a proper subset of the qubits")
-    dim = 2 ** n_qubits
-    states, excited = np.arange(dim), excitations(n_qubits)
+    states, excited = np.arange(2 ** n_qubits), excitations(n_qubits)
     mask = sum(1 << (n_qubits - 1 - q) for q in part)
     charge = excited - 2 * excited[states & mask] + len(part)  # q + len(part): 0 .. n_qubits
-    mirrored = ring_mirror(states, n_qubits, part[0])  # only a one-spin cut reads it
-    sizes = np.bincount(charge, minlength=n_qubits + 1)
-    fixed = np.bincount(charge, states == mirrored, n_qubits + 1).astype(int)
-    split = (sizes >= min_dim) & (len(part) == 1) & (fixed < sizes)  # a block without pairs stays whole
-    # one stack per (size, split), in the order of its first charge
-    _, first, kind = np.unique(sizes * (dim + 1) + np.where(split, fixed, -1), return_index=True,
-                               return_inverse=True)
-    stack = np.argsort(first).argsort()[kind.ravel()]
-    order = np.argsort(stack, kind="stable")  # the charges in block order
-    block = order.argsort()[charge]  # each state's place in block order
-    pairing = split[charge]
-    side = np.where(pairing, np.sign(states - mirrored) + 1, 0)  # 0 pair, 1 fixed point, 2 partner
-    rows = np.lexsort((np.where(pairing, np.minimum(states, mirrored), states), side, block))
+    mirrored = ring_mirror(states, n_qubits, part[0])  # only a one-spin cut's split reads it
+    stacks = {}  # (size, split) -> the rows of its blocks, in charge order
+    for q in range(n_qubits + 1):
+        rows = np.flatnonzero(charge == q)
+        pairs, fixed = rows < mirrored[rows], rows == mirrored[rows]
+        split = None
+        if rows.size >= min_dim and len(part) == 1 and not fixed.all():  # a block without pairs stays whole
+            split = (int(np.count_nonzero(pairs)), int(np.count_nonzero(fixed)))
+            rows = np.concatenate((rows[pairs], rows[fixed], mirrored[rows[pairs]]))
+        stacks.setdefault((rows.size, split), []).append(rows)
     # <ab| rho^T_A |a'b'> = <a'b| rho |ab'>: swap the part bits of row and column
     base, rank = (array.astype(np.int32) for array in packed_positions(n_qubits))  # C(2n, n) < 2^31
-    rest, own = rows & ~mask, rows & mask
-    pieces, layout, rows_done, entries_done = [], [], 0, 0
-    for members in np.split(order, np.cumsum(np.bincount(stack))[:-1]):  # the blocks of one stack
-        q, count = members[0], members.size
-        size = int(sizes[q])
-        span = slice(rows_done, rows_done + count * size)
-        # entry (r, c) is base[rest_r | own_c] + rank[rest_c | own_r]: gather one column per distinct
-        # own value of the block (two for a one-spin cut), then pick per entry
-        for rest_b, own_b in zip(rest[span].reshape(count, size), own[span].reshape(count, size)):
-            values, inverse = np.unique(own_b, return_inverse=True)
-            both = rest_b | values[:, None]
+    pieces, layout, done = [], [], 0
+    for (size, split), blocks in stacks.items():
+        for rows in blocks:
+            # entry (r, c) is base[rest_r | own_c] + rank[rest_c | own_r]: gather one column per distinct
+            # own value of the block (two for a one-spin cut), then pick per entry
+            values, inverse = np.unique(rows & mask, return_inverse=True)
+            both = rows & ~mask | values[:, None]
             pieces.append((base.take(both).T[:, inverse] + rank.take(both)[inverse]).ravel())
-        layout.append((slice(entries_done, entries_done + count * size * size), (count, size, size),
-                       (int(sizes[q] - fixed[q]) // 2, int(fixed[q])) if split[q] else None))
-        rows_done, entries_done = rows_done + count * size, entries_done + count * size * size
+        layout.append((slice(done, done + len(blocks) * size * size), (len(blocks), size, size), split))
+        done += len(blocks) * size * size
     index, diagonal = np.concatenate(pieces), base + rank
     for array in (index, diagonal):
         array.setflags(write=False)

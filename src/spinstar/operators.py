@@ -117,13 +117,9 @@ def packed_positions(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=16)
 def packed_entries(n_qubits: int) -> np.ndarray:
     """Flat index i * 2^n + j in the dense matrix of each packed entry; cached, read-only."""
-    rank, excited = packed_positions(n_qubits)[1], excitations(n_qubits)
-    order = np.argsort(excited, kind="stable")  # the basis indices in block order
-    width = np.bincount(excited)[excited[order]]  # each row's block size
-    rows = np.repeat(order, width)
-    first = np.repeat(np.arange(order.size) - rank[order], width)  # where each row's block starts in order
-    cols = order[first + np.arange(rows.size) - np.repeat(np.cumsum(width) - width, width)]
-    entries = rows * 2 ** n_qubits + cols
+    excited = excitations(n_qubits)
+    blocks = (np.flatnonzero(excited == j) for j in range(n_qubits + 1))  # ascending, by excitations
+    entries = np.concatenate([(states[:, None] * 2 ** n_qubits + states).ravel() for states in blocks])
     entries.setflags(write=False)
     return entries
 

@@ -113,8 +113,8 @@ def reduced_state(spectra, params: SpinStarParams, temperatures) -> np.ndarray:
     dihedral block, then only the rows of each ring orbit's least state, sum_c Q_c[least] M_p Q_c^T,
     through the basis's gathers (operators.DihedralBlocks.halves).  Peripheral block j sums those rows of
     the centre-0 part of sector j and the centre-1 part of sector j+1 and is filled from them by rotation
-    (operators.ring_orbits): the Gibbs state commutes with the ring rotation, and each block is exactly
-    invariant under it.  The block is symmetrized and written to its place in the packed layout
+    (operators.DihedralBlocks.fill): the Gibbs state commutes with the ring rotation, and each block is
+    exactly invariant under it.  The block is symmetrized and written to its place in the packed layout
     (operators.packed_positions), and each state divided by its own trace.  No 2^m x 2^m matrix is formed.
     """
     kts, m = [check_temperature(t) * params.omega for t in temperatures], params.m

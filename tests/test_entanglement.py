@@ -275,3 +275,13 @@ def test_one_spin_cut_index_is_unchanged(m):
             assert np.array_equal(rows, states & ~mask | turned & mask)
             assert np.array_equal(cols, turned & ~mask | states & mask)
     assert digest.hexdigest()[:16] == CUT_DIGESTS[m]
+
+
+def test_each_spelling_of_a_cut_shares_one_index():
+    rho = reduced_thermal_state(SpinStarParams(m=5, omega=1.0, epsilon=1.3, eta=0.7), 0.1)
+    for spellings in ([(0,), (np.int64(0),), np.array([0])], [(1,), (True,)], [(0, 1), (1, 0)]):
+        cuts = [entanglement._cut(5, entanglement.SYMMETRY_MIN_DIM, *spins) for spins in spellings]
+        assert all(cut[1] is cuts[0][1] for cut in cuts)
+        assert len({negativity(rho, spins) for spins in spellings}) == 1
+    with pytest.raises(ValueError):
+        entanglement._cut(5, entanglement.SYMMETRY_MIN_DIM, 0.0)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from spinstar import SpinStarParams
-from spinstar.operators import build_hamiltonian, excitations, sector_terms
+from spinstar.operators import (build_hamiltonian, excitations, packed_entries, packed_positions,
+                                sector_terms)
 
 from oracles import kron_chain, qubit_permutation_matrix, restrict_to_sector
 
@@ -173,3 +174,17 @@ def test_restrict_input_errors():
         restrict_to_sector(op, [3, 4])
     with pytest.raises(ValueError):
         restrict_to_sector(op, [])
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_packed_layout_matches_its_definition(n):
+    # block j = 0..n holds the ascending basis indices with j excitations, raveled row-major
+    base, rank = packed_positions(n)
+    expected, position = [], 0
+    for j in range(n + 1):
+        block = np.array([i for i in range(2 ** n) if bin(i).count("1") == j])
+        for i in block:
+            assert np.array_equal(base[i] + rank[block], position + np.arange(block.size))
+            expected += [i * 2 ** n + k for k in block]
+            position += block.size
+    assert packed_entries(n).tolist() == expected
