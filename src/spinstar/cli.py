@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 import numpy as np
@@ -45,7 +44,11 @@ def _params_from(args: argparse.Namespace) -> SpinStarParams:
     return SpinStarParams(m=args.m, omega=args.omega, epsilon=args.epsilon, eta=args.eta)
 
 
-def cmd_spectrum(args: argparse.Namespace) -> int:
+def _one_row(**fields) -> dict[str, list]:
+    return {name: [value] for name, value in fields.items()}
+
+
+def cmd_spectrum(args: argparse.Namespace) -> dict[str, list]:
     params = _params_from(args)
     spec = star_spectrum(params)
     # each level's rows by sector, then value: not in the order of the rounding noise inside the level
@@ -57,37 +60,23 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         deviation = np.abs(values - analytic)
         max_deviation = float(np.max(deviation))
 
-    with open_output(args.output) as stream:
-        if args.format == "json":
-            payload = {
-                "m": params.m,
-                "omega": params.omega,
-                "epsilon": params.epsilon,
-                "eta": params.eta,
-                "eigenvalues": values.tolist(),
-                "sector_labels": labels,
-                "analytic": None if analytic is None else analytic.tolist(),
-                "max_abs_deviation": max_deviation,
-            }
-            stream.write(json.dumps(payload) + "\n")
-        else:
-            columns = {"index": list(range(len(labels))), "eigenvalue": values.tolist(), "sector": labels}
-            if analytic is not None:
-                columns.update(analytic=analytic.tolist(), abs_dev=deviation.tolist())
-            write_records(columns, stream)
-    if max_deviation is not None and args.format == "csv":
+    if args.format == "json":
+        return _one_row(m=params.m, omega=params.omega, epsilon=params.epsilon, eta=params.eta,
+                        eigenvalues=values.tolist(), sector_labels=labels,
+                        analytic=None if analytic is None else analytic.tolist(),
+                        max_abs_deviation=max_deviation)
+    columns = {"index": list(range(len(labels))), "eigenvalue": values.tolist(), "sector": labels}
+    if analytic is not None:
+        columns.update(analytic=analytic.tolist(), abs_dev=deviation.tolist())
         print(f"max_abs_deviation={format_float(max_deviation)}", file=sys.stderr)
-    return 0
+    return columns
 
 
-def cmd_negativity(args: argparse.Namespace) -> int:
-    columns = evaluate_point(_params_from(args), args.t)
-    with open_output(args.output) as stream:
-        write_records(columns, stream, args.format)
-    return 0
+def cmd_negativity(args: argparse.Namespace) -> dict[str, list]:
+    return evaluate_point(_params_from(args), args.t)
 
 
-def cmd_ground(args: argparse.Namespace) -> int:
+def cmd_ground(args: argparse.Namespace) -> dict[str, list]:
     params = _params_from(args)
     spec = star_spectrum(params)
     manifold = ground_manifold(spec)
@@ -100,15 +89,12 @@ def cmd_ground(args: argparse.Namespace) -> int:
         else:
             fidelity = float(abs(reference @ spec.vectors(1)[:, 0]) ** 2)
 
-    row = {"m": params.m, "omega": params.omega, "epsilon": params.epsilon, "eta": params.eta,
-           "ground_energy": manifold.energy, "ground_degeneracy": manifold.degeneracy,
-           "analytic_ground_fidelity": fidelity}
-    with open_output(args.output) as stream:
-        write_records({name: [value] for name, value in row.items()}, stream, args.format)
-    return 0
+    return _one_row(m=params.m, omega=params.omega, epsilon=params.epsilon, eta=params.eta,
+                    ground_energy=manifold.energy, ground_degeneracy=manifold.degeneracy,
+                    analytic_ground_fidelity=fidelity)
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> dict[str, list]:
     grid = SweepGrid(
         m=args.m,
         omega=args.omega,
@@ -116,10 +102,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         eta_axis=args.eta_range,
         temperatures=args.temps,
     )
-    columns = sweep_records(grid)
-    with open_output(args.output) as stream:
-        write_records(columns, stream, args.format)
-    return 0
+    return sweep_records(grid)
 
 
 def _add_common(parser: argparse.ArgumentParser, point: bool = True) -> None:
@@ -187,7 +170,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
-        return args.func(args)
+        columns = args.func(args)  # each output name to an equal-length list
+        with open_output(args.output) as stream:
+            write_records(columns, stream, args.format)
+        return 0
     except NumericalInvariantError as exc:
         print(f"numerical invariant violated: {exc}", file=sys.stderr)
         return 3

@@ -26,27 +26,25 @@ from .thermal import check_temperature, reduced_state
 # 490 B at m=11 (tracemalloc): this keeps a sweep's records under 0.5 GB.
 MAX_SWEEP_RECORDS = 10 ** 6
 
-# A stack holds at most about this many bytes: per cell, its sector blocks (counted as C(2m+2, m+1)
-# floats, the squared sector sizes summed, an upper bound on its dihedral blocks) and all its packed
-# states (C(2m, m) floats per temperature); at four temperatures 54 m=3 cells, 4 at m=5 and one at
-# m=6, and a lone cell overflows it from m=7 on.
-# 1 MiB, with 4^m-float states, ran sweep-m3 0-9 % faster but raised its peak RSS from 35.3 to 38.6 MiB.
+# A stack holds at most about this many bytes of packed states, C(2m, m) floats per cell and
+# temperature: at four temperatures 102 m=3 cells, 8 at m=5 and 2 at m=6, and from m=7 on a lone
+# cell overflows it. Its dihedral sector blocks are not counted: from m=3 on they hold no more floats
+# than one of its states (20 against 20 at m=3, 116 against 252 at m=5).
 MAX_STACK_BYTES = 64 * 1024
 
 
 def solve_stack(cells, temps):
-    """Yield (spectrum, reduced states) per cell, from one stacked_spectra and one reduced_state call per
-    stack of consecutive cells that fits MAX_STACK_BYTES; a lone cell that overflows it yields its
-    states lazily, as many temperatures per reduced_state call as fit."""
-    m = cells[0].m
-    per_state = math.comb(2 * m, m)
-    size = MAX_STACK_BYTES // (8 * (math.comb(2 * m + 2, m + 1) + len(temps) * per_state))
+    """Yield (spectrum, reduced states) per cell. One rule sizes every stack: fit = MAX_STACK_BYTES // (8 *
+    C(2m, m)) packed states go to one reduced_state call, so fit // len(temps) consecutive cells share a
+    stacked_spectra and a reduced_state call; when that is 0, a lone cell yields its states lazily, fit
+    temperatures per reduced_state call."""
+    fit = max(1, MAX_STACK_BYTES // (8 * math.comb(2 * cells[0].m, cells[0].m)))
+    size = fit // len(temps)
     for i in range(0, len(cells), max(1, size)):
         spectra = stacked_spectra(symmetry_hamiltonians(cells[i:i + max(1, size)]))
         if size:
             yield from zip(spectra, reduced_state(spectra, cells[0], temps))
         else:
-            fit = max(1, MAX_STACK_BYTES // (8 * per_state))
             yield spectra[0], (rho for j in range(0, len(temps), fit)
                                for rho in reduced_state(spectra, cells[0], temps[j:j + fit])[0])
 

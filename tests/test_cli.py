@@ -276,6 +276,22 @@ def test_out_of_range_inputs_exit_2_up_front(capsys, argv, named):
     assert err.startswith("error: ") and named in err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--m", "3", "--epsilon", "1", "--eta", "0.5"),
+    ("ground", "--m", "3", "--epsilon", "1", "--eta", "0.5"),
+    ("negativity", "--m", "3", "--epsilon", "1", "--eta", "0.5", "--t", "0.01"),
+    ("sweep", "--m", "3", "--epsilon-range", "0:2:5", "--eta-range", "0:2:3", "--temps", "0,1e-15,0.3"),
+], ids=["spectrum", "ground", "negativity", "sweep"])
+def test_output_file_matches_stdout(tmp_path, capsys, argv, fmt):
+    # one output path for every command: --output FILE gets the bytes stdout gets
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 0 and out
+    path = tmp_path / "out"
+    assert run_cli(capsys, *argv, "--format", fmt, "--output", str(path)) == (0, "", err)
+    assert path.read_bytes() == out.encode("ascii")
+
+
 def test_unwritable_output_returns_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "ground", "--output", str(tmp_path / "no" / "dir.csv"))
     assert code == 2
@@ -382,6 +398,13 @@ def test_golden_spectrum_m3_header(capsys):
      {"epsilon": float, "eta": float, "t": float, "neg_multi": float, "neg_cut_1": float,
       "neg_cut_2": float, "neg_cut_3": float, "ground_energy": float,
       "ground_degeneracy": int, "degenerate_cell": bool}),
+    # spectrum is one row whose array fields are lists
+    (("spectrum", "--m", "3", "--epsilon", "1", "--eta", "0.5"),
+     {"m": int, "omega": float, "epsilon": float, "eta": float, "eigenvalues": list,
+      "sector_labels": list, "analytic": list, "max_abs_deviation": float}),
+    (("spectrum", "--m", "4", "--epsilon", "1", "--eta", "2"),
+     {"m": int, "omega": float, "epsilon": float, "eta": float, "eigenvalues": list,
+      "sector_labels": list, "analytic": type(None), "max_abs_deviation": type(None)}),
 ])
 def test_golden_json_keys_and_types(capsys, argv, types):
     code, out, _ = run_cli(capsys, *argv, "--format", "json")

@@ -123,6 +123,8 @@ def test_output_does_not_depend_on_the_stack_budget(monkeypatch, m):
         texts.append("\n".join(csv_lines(sweep_records(grid))))
         counts.append(len(calls))
     assert counts[0] == 15 and counts[2] == 1  # one cell per stack, then the whole grid in one
+    # the default budget: fit // 4 cells per stack, 102 at m=3 and 8 at m=5, and m=7 cells alone
+    assert counts[1] == {3: 1, 5: 2, 7: 15}[m]
     assert texts[0] == texts[1] == texts[2]
     columns = sweep_records(grid)
     assert any(flag and eps == eta == 1.0 for flag, eps, eta
