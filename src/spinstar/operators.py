@@ -17,9 +17,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-# A whole negativity --t 0.1 process takes 0.21-0.28 s and 37 MiB at m=9, 0.35 s and
-# 48 MiB at m=10, and 0.53-0.59 s and 93 MiB at m=11 on a 2-vCPU machine; the largest
-# excitation sector, C(m+1, (m+1)//2) states, is solved in dihedral blocks.
+# A whole negativity --t 0.1 process (interpreter start included, medians of two rounds of 5,
+# single-threaded, 2-vCPU machine) takes 0.15 s and 37 MiB at m=9, 0.18 s and 50 MiB
+# at m=10, and 0.27-0.28 s and 96 MiB at m=11; the largest excitation sector,
+# C(m+1, (m+1)//2) states, is solved in dihedral blocks, and the m equal cuts once.
 MAX_M = 11
 
 # SpinStarParams rejects a norm bound (m+1)*omega/2 + m*(|epsilon|+|eta|) of H
@@ -188,8 +189,12 @@ def sector_terms(m: int) -> tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray,
     return tuple(out)
 
 
-def _ring_turns(states: np.ndarray, m: int) -> np.ndarray:
-    """Each state turned r = 0..m-1 times around the ring (spin j to spin j + r), as an (m, states) array."""
+def ring_turns(states: np.ndarray, m: int) -> np.ndarray:
+    """Each state turned r = 0..m-1 times around the ring (spin j to spin j + r), as an (m, states) array.
+
+    Bits above the ring are kept.  The one rotation formula: the dihedral orbits and the one-spin cuts
+    of entanglement._cut are turned with it.
+    """
     periphery, shifts = (1 << m) - 1, np.arange(m)[:, None]
     return (states & ~periphery) | ((states & periphery) >> shifts | states << (m - shifts)) & periphery
 
@@ -242,7 +247,7 @@ def dihedral_blocks(m: int, k: int) -> DihedralBlocks:
     mirror, and E_k Q = Q E, R_k Q = Q R hold on each orbit's least state, to 1e-12.
     """
     _, states, flat, central, ring = sector_terms(m)[k]
-    d, turns = states.size, _ring_turns(states, m)
+    d, turns = states.size, ring_turns(states, m)
     period = np.vstack([turns[1:] == states, np.ones(d, bool)]).argmax(axis=0) + 1
     least, orbit = np.unique(turns.min(axis=0), return_inverse=True)
     orbit, least = orbit.ravel(), np.searchsorted(states, least)

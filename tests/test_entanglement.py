@@ -1,4 +1,6 @@
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from spinstar import (
     reduced_thermal_state,
 )
 from spinstar import entanglement, operators
+from spinstar.thermal import reduced_state, star_spectrum, unpack
 
 from oracles import (
     bell_state,
@@ -252,19 +255,26 @@ def test_negativity_charge_block_check_is_exact(monkeypatch):
     check(rho, 3, dense=True)
 
 
-# sha256 (first 16 hex digits) of every one-spin cut's index, diagonal and layout at m=2..11, as
-# built when the index gathered packed_positions over all of the cut's entries
-CUT_DIGESTS = {2: "cc5cd753fc0c5050", 3: "db8f1c9a35861dbf", 4: "b3b6303ef9889a46", 5: "e5d5d2fa0ee164bb",
-               6: "161e2adcce51dd87", 7: "251964619bd70e95", 8: "2fcf666926f3e6bc", 9: "b81685f3ed7fcf4c",
-               10: "e08b1e3d865b1a0f", 11: "1328d869cda3ea22"}
+# sha256 (first 16 hex digits) of cut 0's index, diagonal and layout at m=2..11: the index it had when
+# every one-spin cut laid out its own rows, mirrored through its own spin
+CUT_DIGESTS = {2: "a6861b2ca1bf2e6a", 3: "cfe65378394713d4", 4: "50e8cf2034613dee", 5: "d7132578d11c92d5",
+               6: "7de2c19a67ff27c6", 7: "9930de5e8dad0c2a", 8: "a517746c02b228b0", 9: "bc2aa7d87d8da878",
+               10: "15f101a252802e30", 11: "4cb75d32dd19ed7b"}
 
 
 @pytest.mark.parametrize("m", range(2, 12))
 def test_one_spin_cut_index_is_unchanged(m):
-    digest, entries = hashlib.sha256(), operators.packed_entries(m)
+    entries = operators.packed_entries(m)
+    _, index, diagonal, layout = entanglement._cut(m, entanglement.SYMMETRY_MIN_DIM, 0)
+    digest = hashlib.sha256(index.tobytes() + diagonal.tobytes() + repr(layout).encode())
+    assert digest.hexdigest()[:16] == CUT_DIGESTS[m]
+    # cut k gathers cut 0's (row, col) pairs turned k times around the ring, in cut 0's layout
+    first, turns = np.divmod(entries[index], 2 ** m), operators.ring_turns(np.arange(2 ** m), m)
     for k in range(m):
-        part, index, diagonal, layout = entanglement._cut(m, entanglement.SYMMETRY_MIN_DIM, k)
-        digest.update(index.tobytes() + diagonal.tobytes() + repr(layout).encode())
+        part, index, _, cut_layout = entanglement._cut(m, entanglement.SYMMETRY_MIN_DIM, k)
+        assert part == (k,) and cut_layout == layout
+        pairs = np.divmod(entries[index], 2 ** m)
+        assert np.array_equal(pairs[0], turns[k][first[0]]) and np.array_equal(pairs[1], turns[k][first[1]])
         # each gathered block entry (r, c) is rho's <rest_r own_c| . |rest_c own_r>
         mask = 1 << (m - 1 - k)
         for span, shape, _ in layout:
@@ -274,7 +284,6 @@ def test_one_spin_cut_index_is_unchanged(m):
             turned = states.swapaxes(1, 2)
             assert np.array_equal(rows, states & ~mask | turned & mask)
             assert np.array_equal(cols, turned & ~mask | states & mask)
-    assert digest.hexdigest()[:16] == CUT_DIGESTS[m]
 
 
 def test_each_spelling_of_a_cut_shares_one_index():
@@ -285,3 +294,93 @@ def test_each_spelling_of_a_cut_shares_one_index():
         assert len({negativity(rho, spins) for spins in spellings}) == 1
     with pytest.raises(ValueError):
         entanglement._cut(5, entanglement.SYMMETRY_MIN_DIM, 0.0)
+
+
+def ring_states(m, temperatures=(0.0, 0.01, 1.0)):
+    params = SpinStarParams(m=m, omega=1.0, epsilon=1.3, eta=0.7)
+    return reduced_state([star_spectrum(params)], params, list(temperatures))[0]
+
+
+def recorded_spectra(monkeypatch):
+    """A list that records each _spectra call's block shape, with an empty memo to start from."""
+    calls, solve = [], entanglement._spectra
+    monkeypatch.setattr(entanglement, "_last_cut", None)
+    monkeypatch.setattr(entanglement, "_spectra", lambda blocks, split: calls.append(blocks.shape) or
+                        solve(blocks, split))
+    return calls
+
+
+@pytest.mark.parametrize("m", range(2, 12))
+def test_one_spin_cuts_of_a_ring_state_are_bit_identical(m):
+    for packed in ring_states(m):
+        gathers = [packed[entanglement._cut(m, entanglement.SYMMETRY_MIN_DIM, k)[1]] for k in range(m)]
+        assert all(np.array_equal(gather.view(np.int64), gathers[0].view(np.int64)) for gather in gathers)
+        per_cut = multipartite_negativity(packed, m).per_cut
+        assert per_cut == (per_cut[0],) * m
+
+
+@pytest.mark.parametrize("m", [3, 8, 9])
+def test_one_cut_is_solved_per_ring_state(m, monkeypatch):
+    calls = recorded_spectra(monkeypatch)
+    layout = entanglement._cut(m, entanglement.SYMMETRY_MIN_DIM, 0)[3]
+    states = ring_states(m)
+    for packed in states:
+        multipartite_negativity(packed, m)
+    assert calls == [shape for _, shape, _ in layout] * len(states)
+
+
+@pytest.mark.parametrize("m", [3, 4, 8])
+def test_a_state_off_the_ring_symmetry_solves_every_cut(m, monkeypatch):
+    calls = recorded_spectra(monkeypatch)
+    excited = np.zeros((2 ** m, 2 ** m))
+    excited[2 ** (m - 1), 2 ** (m - 1)] = 1.0  # spin 0 up, the rest down
+    rho = 0.9 * unpack(ring_states(m, [0.1])[0]) + 0.1 * excited
+    per_cut = multipartite_negativity(rho, m).per_cut
+    layout = entanglement._cut(m, entanglement.SYMMETRY_MIN_DIM, 0)[3]
+    assert calls == [shape for _, shape, _ in layout] * m
+    for k in range(m):
+        oracle = np.sum(np.abs(np.linalg.eigvalsh(brute_partial_transpose(rho, (k,), m)))) - 1.0
+        assert abs(per_cut[k] - oracle) <= 1e-12
+
+
+def test_the_last_cut_kept_never_changes_a_value(monkeypatch):
+    # states A, B, A: each cut gives exactly what it gives with nothing kept
+    m = 5
+    a, b = ring_states(m, [0.1])[0], unpack(ring_states(m, [1.0])[0])
+    fresh = {}
+    for name, rho in (("a", a), ("b", b)):
+        for k in range(m):
+            monkeypatch.setattr(entanglement, "_last_cut", None)
+            fresh[name, k] = negativity(rho, (k,))
+    assert fresh["a", 0] != fresh["b", 0]
+    for name, rho in (("a", a), ("b", b), ("a", a)):
+        assert [negativity(rho, (k,)) for k in range(m)] == [fresh[name, k] for k in range(m)]
+
+
+def test_threads_sharing_the_last_cut_get_fresh_values(monkeypatch):
+    # the entry is read once and replaced whole, so a thread never pairs one state's bits with another's
+    # sum: two threads per state, started together, switching as often as the interpreter allows
+    m, states = 3, ring_states(3, [0.0, 1.0])
+    fresh = []
+    for packed in states:
+        monkeypatch.setattr(entanglement, "_last_cut", None)
+        fresh.append([negativity(packed, (k,)) for k in range(m)])
+    results, start = [], threading.Barrier(4)
+
+    def work(j):
+        start.wait(timeout=60)
+        for _ in range(1000):
+            results.append([negativity(states[j], (k,)) for k in range(m)] == fresh[j])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i % 2,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 4000 and all(results)

@@ -239,7 +239,7 @@ def test_dihedral_fill_rebuilds_a_rotation_invariant_matrix(m):
 def test_ring_mirror_reflects_through_each_spin(m):
     # ring spin j is bit m-1-j; the centre bit above the ring stays
     states = np.arange(2 ** (m + 1))
-    turns = operators._ring_turns(states, m)
+    turns = operators.ring_turns(states, m)
     for p in range(m):
         brute = [s & ~((1 << m) - 1) | sum((s >> (m - 1 - j) & 1) << (m - 1 - (2 * p - j) % m)
                                            for j in range(m)) for s in range(2 ** (m + 1))]
@@ -247,7 +247,7 @@ def test_ring_mirror_reflects_through_each_spin(m):
         assert mirrored.tolist() == brute
         assert np.array_equal(operators.ring_mirror(mirrored, m, p), states)
         # R T = T^-1 R
-        assert np.array_equal(operators.ring_mirror(turns[1], m, p), operators._ring_turns(mirrored, m)[-1])
+        assert np.array_equal(operators.ring_mirror(turns[1], m, p), operators.ring_turns(mirrored, m)[-1])
 
 
 @pytest.mark.parametrize("m, epsilon, eta, degeneracy", [(8, 1.0, 1.0, 1), (9, 1.0, 1.0, 2)])
