@@ -48,22 +48,25 @@ class NegativityReport:
     multipartite: float
 
 
-def partial_transpose(rho: np.ndarray, part_a, n_qubits: int) -> np.ndarray:
-    """Transpose of the part_a tensor factors of rho.
+def partial_transpose(rho: np.ndarray, part_a) -> np.ndarray:
+    """Transpose of the part_a tensor factors of a dense 2^n x 2^n matrix rho.
 
     Entry <ab| out |a'b'> equals <a'b| rho |ab'> where a runs over the
     part_a bits; the result is Hermitian with the same trace.
     """
     rho = np.asarray(rho)
-    dim = 2 ** n_qubits
-    if rho.shape != (dim, dim):
-        raise ValueError(f"expected a {dim}x{dim} matrix, got {rho.shape}")
+    n_qubits = qubit_count(rho.shape)
     part = qubit_subset(part_a, n_qubits)
     tensor = rho.reshape((2,) * (2 * n_qubits))
     perm = list(range(2 * n_qubits))
     for q in part:
         perm[q], perm[n_qubits + q] = perm[n_qubits + q], perm[q]
-    return tensor.transpose(perm).reshape(dim, dim)
+    return tensor.transpose(perm).reshape(rho.shape)
+
+
+def _qubits(rho: np.ndarray) -> int:
+    """n of a packed (C(2n, n),) state or a dense (2^n, 2^n) matrix; ValueError for any other shape."""
+    return packed_qubits(rho.shape) if rho.ndim == 1 else qubit_count(rho.shape)
 
 
 @lru_cache(maxsize=64, typed=True)
@@ -172,16 +175,13 @@ def negativity(rho: np.ndarray, part_a) -> float:
     """
     global _last_cut
     rho = np.asarray(rho)
-    if rho.ndim == 1:
-        n_qubits, packed = packed_qubits(rho.shape), rho
-    else:
-        n_qubits = qubit_count(rho.shape)
-        packed = rho.take(packed_entries(n_qubits))
+    n_qubits = _qubits(rho)
+    packed = rho if rho.ndim == 1 else rho.take(packed_entries(n_qubits))
     part, index, diagonal, layout = _cut(n_qubits, SYMMETRY_MIN_DIM, *part_a)
     whole = packed is not rho and np.count_nonzero(packed) != np.count_nonzero(rho)
     try:
         if whole:
-            raw = np.add.reduce(np.abs(np.linalg.eigvalsh(partial_transpose(rho, part, n_qubits))), axis=None)
+            raw = np.add.reduce(np.abs(np.linalg.eigvalsh(partial_transpose(rho, part))), axis=None)
         else:
             gathered = packed[index]  # indexing: take converts the int32 index first, 2.5x slower at m=9
             # float64: every state reduced_state makes; other dtypes are solved every call
@@ -211,22 +211,19 @@ def negativity(rho: np.ndarray, part_a) -> float:
     return raw
 
 
-def multipartite_negativity(rho: np.ndarray, m: int) -> NegativityReport:
-    """Geometric mean of the m one-spin-versus-rest negativities.
+def multipartite_negativity(rho: np.ndarray) -> NegativityReport:
+    """Geometric mean of the m one-spin-versus-rest negativities; rho as for negativity, its shape fixes m.
 
-    Exactly zero whenever any single cut is zero, so separable and
-    bi-separable states report no multipartite entanglement.
+    A one-spin state has no cut and raises ValueError.  Exactly zero whenever any single cut is zero, so
+    separable and bi-separable states report no multipartite entanglement; exactly their common value
+    when all cuts are equal.
     """
-    if m < 2:
-        raise ValueError(f"need at least 2 spins, got m={m}")
     rho = np.asarray(rho)
-    if rho.shape not in ((2 ** m, 2 ** m), (math.comb(2 * m, m),)):
-        raise ValueError(f"expected a {2 ** m}x{2 ** m} matrix or a packed state of {math.comb(2 * m, m)} "
-                         f"entries for m={m}, got {rho.shape}")
-    values = tuple(negativity(rho, (k,)) for k in range(m))
-    if min(values) == 0.0:
-        mean = 0.0
+    values = tuple(negativity(rho, (k,)) for k in range(_qubits(rho)))
+    low = min(values)
+    if low == 0.0 or low == max(values):
+        mean = low
     else:
         # geometric mean through logs: robust to underflow of the raw product
-        mean = math.exp(sum(map(math.log, values)) / m)
+        mean = math.exp(sum(map(math.log, values)) / len(values))
     return NegativityReport(per_cut=values, multipartite=mean)

@@ -199,11 +199,11 @@ def ring_turns(states: np.ndarray, m: int) -> np.ndarray:
     return (states & ~periphery) | ((states & periphery) >> shifts | states << (m - shifts)) & periphery
 
 
-def ring_mirror(states: np.ndarray, m: int, spin: int = 0) -> np.ndarray:
-    """Each state with ring spin j (bit m-1-j) moved to spin 2*spin - j (mod m), bits above the ring kept."""
+def ring_mirror(states: np.ndarray, m: int) -> np.ndarray:
+    """Each state with ring spin j (bit m-1-j) moved to spin -j (mod m), bits above the ring kept."""
     spins = np.arange(m)
     return (states & ~((1 << m) - 1)) | ((states[..., None] >> (m - 1 - spins) & 1)
-                                         << (m - 1 - (2 * spin - spins) % m)).sum(axis=-1)
+                                         << (m - 1 - (-spins) % m)).sum(axis=-1)
 
 
 class DihedralBlocks(NamedTuple):

@@ -89,7 +89,7 @@ def evaluate_cell(spec: SpectralDecomposition, params: SpinStarParams,
     """Columns of a coupling pair's rows, one per temperature, from its spectrum and its states (see
     solve_stack): each output name, in output order, to its list; one neg_cut_k per peripheral spin."""
     manifold = ground_manifold(spec)
-    reports = [multipartite_negativity(rho, params.m) for rho in states]
+    reports = [multipartite_negativity(rho) for rho in states]
     rows = len(reports)
     columns = {"epsilon": [float(params.epsilon)] * rows, "eta": [float(params.eta)] * rows,
                "t": [float(t) for t in temperatures], "neg_multi": [r.multipartite for r in reports]}

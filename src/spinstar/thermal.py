@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from .operators import (SpinStarParams, packed_entries, packed_positions, packed_qubits, qubit_subset,
-                        symmetry_hamiltonians)
+from .operators import (SpinStarParams, packed_entries, packed_positions, packed_qubits, qubit_count,
+                        qubit_subset, symmetry_hamiltonians)
 from .spectra import SpectralDecomposition, stacked_spectra
 
 # Boltzmann weights below this, relative to the ground level's 1, are dropped.
@@ -61,26 +61,23 @@ def zero_temperature_state(spec: SpectralDecomposition) -> np.ndarray:
     return gibbs_state_from_spectrum(spec, 0.0)
 
 
-def partial_trace(rho: np.ndarray, keep, n_qubits: int) -> np.ndarray:
+def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
     """Reduced density matrix on the kept qubits; a test and benchmark oracle for reduced_state.
 
     Parameters
     ----------
-    rho : density matrix of dimension 2**n_qubits
+    rho : density matrix of dimension 2**n, which fixes the number of qubits n
     keep : indices of the qubits to retain; the reduced matrix keeps them
         in their original relative order
-    n_qubits : total number of qubits
     """
     rho = np.asarray(rho)
-    dim = 2 ** n_qubits
-    if rho.shape != (dim, dim):
-        raise ValueError(f"expected a {dim}x{dim} matrix, got {rho.shape}")
+    n_qubits = qubit_count(rho.shape)
     kept = list(qubit_subset(keep, n_qubits))
     # row bits then column bits, most significant first, kept qubits moved ahead
     axes = kept + [q for q in range(n_qubits) if q not in kept]
     tensor = rho.reshape((2,) * (2 * n_qubits)).transpose(axes + [n_qubits + q for q in axes])
     size = 2 ** len(kept)
-    return np.trace(tensor.reshape(size, dim // size, size, dim // size), axis1=1, axis2=3)
+    return np.trace(tensor.reshape(size, len(rho) // size, size, len(rho) // size), axis1=1, axis2=3)
 
 
 def star_spectrum(params: SpinStarParams) -> SpectralDecomposition:

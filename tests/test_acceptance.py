@@ -55,7 +55,7 @@ def star(m, omega, eps, eta):
 
 def neg_multi(m, eps, eta, t):
     params = SpinStarParams(m=m, omega=1.0, epsilon=eps, eta=eta)
-    return multipartite_negativity(reduced_thermal_state(params, t), m).multipartite
+    return multipartite_negativity(reduced_thermal_state(params, t)).multipartite
 
 
 def drop_then_rise(values, threshold):
@@ -242,7 +242,7 @@ def test_criterion_08_blocked_solver_equivalence():
                                  float(np.max(np.abs(full.eigenvalues - blocked.eigenvalues))))
             params = SpinStarParams(m=m, omega=1.0, epsilon=eps, eta=eta)
             via_blocked = reduced_thermal_state(params, t)
-            via_full = partial_trace(gibbs_state_from_spectrum(full, t), range(1, m + 1), m + 1)
+            via_full = partial_trace(gibbs_state_from_spectrum(full, t), range(1, m + 1))
             worst_state = max(worst_state, float(np.max(np.abs(via_blocked - via_full))))
     ok = worst_spectrum <= 1e-10 and worst_state <= 1e-10
     line = report(8, "blocked-solver-equivalence", ok,
@@ -263,7 +263,7 @@ def test_criterion_09_measure_sanity():
     w_lib = negativity(w, (0,))
     target_w = 2.0 * np.sqrt(2.0) / 3.0
     biseparable = multipartite_negativity(
-        np.kron(np.diag([1.0, 0.0]).astype(complex), dm(bell_state())), 3).multipartite
+        np.kron(np.diag([1.0, 0.0]).astype(complex), dm(bell_state()))).multipartite
     ok = (abs(ghz_brute - 1.0) <= 1e-10 and abs(ghz_lib - 1.0) <= 1e-10
           and abs(w_brute - target_w) <= 1e-10 and abs(w_lib - target_w) <= 1e-10
           and biseparable == 0.0)
@@ -314,8 +314,8 @@ def test_criterion_11_invariant_suite():
         rho = random_density(rng, 8)
         local = np.kron(np.kron(random_unitary(rng, 2), random_unitary(rng, 2)),
                         random_unitary(rng, 2))
-        before = multipartite_negativity(rho, 3).multipartite
-        after = multipartite_negativity(local @ rho @ local.conj().T, 3).multipartite
+        before = multipartite_negativity(rho).multipartite
+        after = multipartite_negativity(local @ rho @ local.conj().T).multipartite
         checks += 1
         if abs(before - after) > 1e-10:
             failures.append("local-unitary")

@@ -33,7 +33,7 @@ def test_pt_product_state_factorizes():
     rho_a = random_density(rng, 2)
     rho_b = random_density(rng, 4)
     rho = np.kron(rho_a, rho_b)
-    transposed = partial_transpose(rho, (0,), 3)
+    transposed = partial_transpose(rho, (0,))
     assert np.max(np.abs(transposed - np.kron(rho_a.T, rho_b))) < 1e-14
     # spectrum unchanged, so the cut carries no negativity
     assert negativity(rho, (0,)) == 0.0
@@ -42,12 +42,12 @@ def test_pt_product_state_factorizes():
 def test_pt_is_an_involution():
     rng = np.random.default_rng(4)
     rho = random_density(rng, 8)
-    double = partial_transpose(partial_transpose(rho, (0, 2), 3), (0, 2), 3)
+    double = partial_transpose(partial_transpose(rho, (0, 2)), (0, 2))
     assert np.array_equal(double, rho)
 
 
 def test_pt_bell_eigenvalues():
-    transposed = partial_transpose(dm(bell_state()), (0,), 2)
+    transposed = partial_transpose(dm(bell_state()), (0,))
     lam = np.sort(np.linalg.eigvalsh(transposed))
     assert np.max(np.abs(lam - np.array([-0.5, 0.5, 0.5, 0.5]))) < 1e-12
 
@@ -55,7 +55,7 @@ def test_pt_bell_eigenvalues():
 def test_pt_preserves_hermiticity_and_trace():
     rng = np.random.default_rng(6)
     rho = random_density(rng, 16)
-    transposed = partial_transpose(rho, (1, 3), 4)
+    transposed = partial_transpose(rho, (1, 3))
     assert np.max(np.abs(transposed - transposed.conj().T)) < 1e-14
     assert abs(np.trace(transposed) - 1.0) < 1e-13
 
@@ -67,7 +67,7 @@ def test_pt_matches_bruteforce():
         for _ in range(4):
             size = int(rng.integers(1, n))
             part = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
-            got = partial_transpose(rho, part, n)
+            got = partial_transpose(rho, part)
             ref = brute_partial_transpose(rho, part, n)
             assert np.max(np.abs(got - ref)) < 1e-14
 
@@ -75,13 +75,13 @@ def test_pt_matches_bruteforce():
 def test_pt_input_errors():
     rho = np.eye(8) / 8
     with pytest.raises(ValueError):
-        partial_transpose(rho, (), 3)
+        partial_transpose(rho, ())
     with pytest.raises(ValueError):
-        partial_transpose(rho, (3,), 3)
+        partial_transpose(rho, (3,))
     with pytest.raises(ValueError):
-        partial_transpose(np.eye(4) / 4, (0,), 3)
+        partial_transpose(np.eye(6) / 6, (0,))
     with pytest.raises(ValueError):
-        partial_transpose(rho, (1.7,), 3)
+        partial_transpose(rho, (1.7,))
 
 
 def test_negativity_bell_state_is_one():
@@ -126,8 +126,6 @@ def test_packed_state_of_wrong_length_raises():
         with pytest.raises(ValueError, match="packed"):
             negativity(np.full(size, 0.1), (0,))
     with pytest.raises(ValueError):
-        multipartite_negativity(np.full(20, 0.05), 4)
-    with pytest.raises(ValueError):
         negativity(np.ones((2, 20)), (0,))
 
 
@@ -140,7 +138,7 @@ def test_negativity_floor_violation_raises():
     with pytest.raises(NumericalInvariantError):
         negativity(2 * np.eye(4) / 4, (0,))
     with pytest.raises(NumericalInvariantError):
-        multipartite_negativity(3 * np.eye(8) / 8, 3)
+        multipartite_negativity(3 * np.eye(8) / 8)
 
 
 def _with_entry(dim, value):
@@ -156,11 +154,11 @@ def test_non_finite_state_raises(rho):
     with pytest.raises(NumericalInvariantError):
         negativity(rho, (0,))
     with pytest.raises(NumericalInvariantError):
-        multipartite_negativity(rho, len(rho).bit_length() - 1)
+        multipartite_negativity(rho)
 
 
 def test_multipartite_ghz():
-    report = multipartite_negativity(dm(ghz_state()), 3)
+    report = multipartite_negativity(dm(ghz_state()))
     for value in report.per_cut:
         assert abs(value - 1.0) < 1e-10
     assert abs(report.multipartite - 1.0) < 1e-10
@@ -168,13 +166,13 @@ def test_multipartite_ghz():
 
 def test_multipartite_biseparable_is_exactly_zero():
     rho = np.kron(np.diag([1.0, 0.0]).astype(complex), dm(bell_state()))
-    report = multipartite_negativity(rho, 3)
+    report = multipartite_negativity(rho)
     assert report.per_cut[0] == 0.0
     assert report.multipartite == 0.0
 
 
 def test_multipartite_fully_mixed_is_zero():
-    report = multipartite_negativity(np.eye(8) / 8, 3)
+    report = multipartite_negativity(np.eye(8) / 8)
     assert all(value == 0.0 for value in report.per_cut)
     assert report.multipartite == 0.0
 
@@ -183,7 +181,7 @@ def test_multipartite_cut_ordering_and_partitions():
     # spins 1 and 2 share a Bell pair, spins 0 and 3 are product: the cuts differ
     vacuum = np.diag([1.0, 0.0]).astype(complex)
     rho = np.kron(np.kron(vacuum, dm(bell_state())), vacuum)
-    report = multipartite_negativity(rho, 4)
+    report = multipartite_negativity(rho)
     assert report.per_cut[0] == 0.0 < report.per_cut[1]
     for k in range(4):
         assert report.per_cut[k] == negativity(rho, (k,))
@@ -191,16 +189,24 @@ def test_multipartite_cut_ordering_and_partitions():
 
 def test_multipartite_geometric_mean_value():
     params = SpinStarParams(m=3, omega=1.0, epsilon=2.0, eta=0.7)
-    report = multipartite_negativity(reduced_thermal_state(params, 0.2), 3)
+    report = multipartite_negativity(reduced_thermal_state(params, 0.2))
     values = report.per_cut
     assert report.multipartite == pytest.approx(np.prod(values) ** (1 / 3), abs=1e-12)
 
 
 def test_multipartite_input_errors():
-    with pytest.raises(ValueError):
-        multipartite_negativity(np.eye(8) / 8, 1)
-    with pytest.raises(ValueError):
-        multipartite_negativity(np.eye(8) / 8, 4)
+    # the shape fixes m: C(2m, m) packed entries or a 2^m x 2^m matrix, with m >= 2
+    for rho in (np.full(21, 0.05), np.ones((8, 4)) / 8, np.eye(6) / 6, np.eye(2) / 2, np.array([0.5, 0.5])):
+        with pytest.raises(ValueError):
+            multipartite_negativity(rho)
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_multipartite_reads_m_from_the_shape(m):
+    packed = ring_states(m, [0.1])[0]
+    report = multipartite_negativity(packed)
+    assert len(report.per_cut) == m and multipartite_negativity(unpack(packed)) == report
+    assert report.per_cut == tuple(negativity(packed, (k,)) for k in range(m))
 
 
 def test_local_unitary_invariance():
@@ -210,15 +216,15 @@ def test_local_unitary_invariance():
         local = np.kron(np.kron(random_unitary(rng, 2), random_unitary(rng, 2)),
                         random_unitary(rng, 2))
         rotated = local @ rho @ local.conj().T
-        before = multipartite_negativity(rho, 3).multipartite
-        after = multipartite_negativity(rotated, 3).multipartite
+        before = multipartite_negativity(rho).multipartite
+        after = multipartite_negativity(rotated).multipartite
         assert abs(before - after) < 1e-10
 
 
 @pytest.mark.parametrize("m", [3, 4])
 def test_thermal_state_cuts_are_symmetric(m):
     params = SpinStarParams(m=m, omega=1.0, epsilon=1.0, eta=0.5)
-    report = multipartite_negativity(reduced_thermal_state(params, 0.01), m)
+    report = multipartite_negativity(reduced_thermal_state(params, 0.01))
     values = report.per_cut
     assert max(values) - min(values) < 1e-10
 
@@ -315,8 +321,15 @@ def test_one_spin_cuts_of_a_ring_state_are_bit_identical(m):
     for packed in ring_states(m):
         gathers = [packed[entanglement._cut(m, entanglement.SYMMETRY_MIN_DIM, k)[1]] for k in range(m)]
         assert all(np.array_equal(gather.view(np.int64), gathers[0].view(np.int64)) for gather in gathers)
-        per_cut = multipartite_negativity(packed, m).per_cut
+        per_cut = multipartite_negativity(packed).per_cut
         assert per_cut == (per_cut[0],) * m
+
+
+@pytest.mark.parametrize("m", range(2, 12))
+def test_equal_cuts_give_their_value_as_the_mean(m):
+    for packed in ring_states(m, (0.0, 0.01, 0.1, 1.0)):
+        report = multipartite_negativity(packed)
+        assert report.multipartite == report.per_cut[0]
 
 
 @pytest.mark.parametrize("m", [3, 8, 9])
@@ -325,7 +338,7 @@ def test_one_cut_is_solved_per_ring_state(m, monkeypatch):
     layout = entanglement._cut(m, entanglement.SYMMETRY_MIN_DIM, 0)[3]
     states = ring_states(m)
     for packed in states:
-        multipartite_negativity(packed, m)
+        multipartite_negativity(packed)
     assert calls == [shape for _, shape, _ in layout] * len(states)
 
 
@@ -335,7 +348,7 @@ def test_a_state_off_the_ring_symmetry_solves_every_cut(m, monkeypatch):
     excited = np.zeros((2 ** m, 2 ** m))
     excited[2 ** (m - 1), 2 ** (m - 1)] = 1.0  # spin 0 up, the rest down
     rho = 0.9 * unpack(ring_states(m, [0.1])[0]) + 0.1 * excited
-    per_cut = multipartite_negativity(rho, m).per_cut
+    per_cut = multipartite_negativity(rho).per_cut
     layout = entanglement._cut(m, entanglement.SYMMETRY_MIN_DIM, 0)[3]
     assert calls == [shape for _, shape, _ in layout] * m
     for k in range(m):

@@ -46,7 +46,7 @@ def test_sector_route_matches_dense_reference(m):
 
         [[packed]] = reduced_state([spec], params, [t])
         rho = unpack(packed)
-        reference = partial_trace(gibbs_state_from_spectrum(dense, t), range(1, n), n)
+        reference = partial_trace(gibbs_state_from_spectrum(dense, t), range(1, n))
         assert np.max(np.abs(rho - reference)) <= 1e-12
         for k in range(m):
             oracle = np.sum(np.abs(np.linalg.eigvalsh(brute_partial_transpose(rho, (k,), m)))) - 1
@@ -107,7 +107,7 @@ def test_translation_blocks_match_dense_route(m, monkeypatch):
         assert np.max(np.abs(h @ vectors - vectors * spec.eigenvalues)) <= 1e-12 * scale
         [[packed]] = reduced_state([spec], params, [t])
         rho = unpack(packed)
-        reference = partial_trace(gibbs_state_from_spectrum(dense, t), range(1, n), n)
+        reference = partial_trace(gibbs_state_from_spectrum(dense, t), range(1, n))
         assert np.max(np.abs(rho - reference)) <= 1e-12
         # every block fills from the rows of the ring orbits' least states
         assert_ring_invariant(rho, m, range(m + 1))
@@ -129,7 +129,7 @@ def test_dihedral_route_at_the_default_threshold(m):
         temps = [0.0, 0.01, 1.0]
         for t, packed in zip(temps, reduced_state([spec], params, temps)[0]):
             rho = unpack(packed)
-            reference = partial_trace(gibbs_state_from_spectrum(dense, t), range(1, n), n)
+            reference = partial_trace(gibbs_state_from_spectrum(dense, t), range(1, n))
             assert np.max(np.abs(rho - reference)) <= 1e-12
             assert_ring_invariant(rho, m, range(m + 1))
             for k in range(m):
@@ -238,16 +238,21 @@ def test_dihedral_fill_rebuilds_a_rotation_invariant_matrix(m):
 @pytest.mark.parametrize("m", range(2, 10))
 def test_ring_mirror_reflects_through_each_spin(m):
     # ring spin j is bit m-1-j; the centre bit above the ring stays
+    # the reflection through spin p, j -> 2p - j, is the one through spin 0 turned 2p times
     states = np.arange(2 ** (m + 1))
     turns = operators.ring_turns(states, m)
+
+    def mirror(states, p):
+        return operators.ring_turns(operators.ring_mirror(states, m), m)[2 * p % m]
+
     for p in range(m):
         brute = [s & ~((1 << m) - 1) | sum((s >> (m - 1 - j) & 1) << (m - 1 - (2 * p - j) % m)
                                            for j in range(m)) for s in range(2 ** (m + 1))]
-        mirrored = operators.ring_mirror(states, m, p)
+        mirrored = mirror(states, p)
         assert mirrored.tolist() == brute
-        assert np.array_equal(operators.ring_mirror(mirrored, m, p), states)
+        assert np.array_equal(mirror(mirrored, p), states)
         # R T = T^-1 R
-        assert np.array_equal(operators.ring_mirror(turns[1], m, p), operators.ring_turns(mirrored, m)[-1])
+        assert np.array_equal(mirror(turns[1], p), operators.ring_turns(mirrored, m)[-1])
 
 
 @pytest.mark.parametrize("m, epsilon, eta, degeneracy", [(8, 1.0, 1.0, 1), (9, 1.0, 1.0, 2)])
