@@ -219,7 +219,9 @@ def multipartite_negativity(rho: np.ndarray) -> NegativityReport:
     when all cuts are equal.
     """
     rho = np.asarray(rho)
-    values = tuple(negativity(rho, (k,)) for k in range(_qubits(rho)))
+    if (m := _qubits(rho)) < 2:
+        raise ValueError("a one-spin state has no one-spin-versus-rest cut; m >= 2 spins are needed")
+    values = tuple(negativity(rho, (k,)) for k in range(m))
     low = min(values)
     if low == 0.0 or low == max(values):
         mean = low

@@ -15,25 +15,31 @@ BLOCK_TOL = 1e-10
 
 
 class SpectralDecomposition:
-    """Spectrum of a Hermitian operator, as ordered by stacked_spectra.
+    """Spectra of Hermitian operators, as ordered by stacked_spectra: a stack of cells, or one cell's view.
 
-    eigenvalues ascend, exact ties in block order; sector_labels holds each
-    one's block label and gaps its level energy minus the lowest.  blocks holds
-    (label, states, dihedral, eigenvectors) per block: the sector's
-    operators.DihedralBlocks and its solved blocks' eigenvectors, padded to
-    (blocks, width, width), or, from a dense oracle such as spectrum_blocked,
-    dihedral None and the eigenvectors over states.  ranks holds
-    the place in eigenvalues of each block's eigenvalues, block after block, in
-    the order _eigh returns them.
+    eigenvalues ascend along the last axis, exact ties in block order; sector_labels holds each one's
+    block label and gaps its level energy minus the lowest.  blocks holds (label, states, dihedral,
+    eigenvectors) per block: the sector's operators.DihedralBlocks and its solved blocks' eigenvectors,
+    padded to (blocks, width, width), or, from a dense oracle such as spectrum_blocked, dihedral None and
+    the eigenvectors over states.  ranks holds the place in eigenvalues of each block's eigenvalues, block
+    after block, in the order _eigh returns them.  Every array but states and dihedral leads with the
+    cells axis of a stack; spec[key] indexes it in each, so spec[i] is cell i's view, spec[None] a stack.
     """
 
     def __init__(self, eigenvalues, sector_labels, gaps, ranks, blocks):
-        self.dim = eigenvalues.size
+        self.dim = eigenvalues.shape[-1]
         self.eigenvalues, self.sector_labels = eigenvalues, sector_labels
         self.gaps, self.ranks, self.blocks = gaps, ranks, blocks
 
+    def __len__(self):
+        return len(self.eigenvalues)
+
+    def __getitem__(self, key):
+        return SpectralDecomposition(self.eigenvalues[key], self.sector_labels[key], self.gaps[key],
+                                     self.ranks[key], [(k, s, d, v[key]) for k, s, d, v in self.blocks])
+
     def vectors(self, count: int) -> np.ndarray:
-        """The eigenvectors of the count lowest eigenvalues, as columns in the full space."""
+        """One cell's eigenvectors of the count lowest eigenvalues, as columns in the full space."""
         out = np.zeros((self.dim, count), dtype=self.blocks[0][3].dtype)
         start = 0
         for _, states, dihedral, vectors in self.blocks:
@@ -93,8 +99,8 @@ def _eigh(stack):
     return dihedral, values.reshape(len(values), -1)[:, dihedral.slots], vectors
 
 
-def stacked_spectra(stacks) -> list[SpectralDecomposition]:
-    """One SpectralDecomposition per cell from the (label, states, stack) blocks of symmetry_hamiltonians.
+def stacked_spectra(stacks) -> SpectralDecomposition:
+    """The spectra of a stack of cells from the (label, states, stack) blocks of symmetry_hamiltonians.
 
     Each stack, or group of equal solved dihedral blocks, is checked by _hermitian and solved by one
     eigh call; the spectra are then sorted and leveled at once.
@@ -104,13 +110,10 @@ def stacked_spectra(stacks) -> list[SpectralDecomposition]:
     if values.shape[-1] == 0:
         raise ValueError("empty spectral decomposition")
     order = values.argsort(axis=-1, kind="stable")  # exact ties stay in block order
-    ranks = order.argsort(axis=-1)
     values = np.take_along_axis(values, order, axis=-1)
     labels = np.repeat([k for k, *_ in solved], [w.shape[-1] for *_, w, _ in solved])[order]
-    gaps = level_energies(values) - values[:, :1]
-    return [SpectralDecomposition(values[i], labels[i], gaps[i], ranks[i],
-                                  [(k, states, dihedral, v[i]) for k, states, dihedral, _, v in solved])
-            for i in range(len(values))]
+    gaps, ranks = level_energies(values) - values[:, :1], order.argsort(axis=-1)
+    return SpectralDecomposition(values, labels, gaps, ranks, [(k, s, d, v) for k, s, d, _, v in solved])
 
 
 def spectrum_blocked(op: np.ndarray) -> SpectralDecomposition:

@@ -1,7 +1,7 @@
 """Deterministic parameter-grid sweeps over (epsilon, eta, t).
 
-Grid cells are pure functions of their inputs: each stack of them that fits MAX_STACK_BYTES is
-diagonalized with one call and its Gibbs states formed with another (solve_stack), then each cell is
+Grid cells are pure functions of their inputs: the cells whose spectra fit MAX_STACK_BYTES are diagonalized
+with one call, and the states that fit it formed with each Gibbs call (solve_stack); each cell is then
 evaluated into columns (evaluate_cell); write_records, the writer of every command, writes the rows in
 canonical order (lexicographic by t, eta, epsilon), byte-identical across runs.
 """
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import multipartite_negativity
-from .operators import SpinStarParams, symmetry_hamiltonians
+from .operators import SpinStarParams, dihedral_blocks, symmetry_hamiltonians
 from .spectra import SpectralDecomposition, ground_manifold, stacked_spectra
 from .thermal import check_temperature, reduced_state
 
@@ -26,27 +26,36 @@ from .thermal import check_temperature, reduced_state
 # 490 B at m=11 (tracemalloc): this keeps a sweep's records under 0.5 GB.
 MAX_SWEEP_RECORDS = 10 ** 6
 
-# A stack holds at most about this many bytes of packed states, C(2m, m) floats per cell and
-# temperature: at four temperatures 102 m=3 cells, 8 at m=5 and 2 at m=6, and from m=7 on a lone
-# cell overflows it. Its dihedral sector blocks are not counted: from m=3 on they hold no more floats
-# than one of its states (20 against 20 at m=3, 116 against 252 at m=5).
-MAX_STACK_BYTES = 64 * 1024
+# One budget sizes both calls of solve_stack: an eigensolve takes 728 m=3 cells, 170 at m=5, 8 at m=8, 3
+# at m=9 and one from m=10 on; a Gibbs call 1213 m=3 states, 127 at m=5, 2 at m=8 and one from m=9 on.
+# Twice this ran an m=8 sweep 3-9 % faster, but the m=3 map peaked at 36.8 MiB against 35.7 (34.5 at 64 KiB).
+MAX_STACK_BYTES = 512 * 1024
 
 
 def solve_stack(cells, temps):
-    """Yield (spectrum, reduced states) per cell. One rule sizes every stack: fit = MAX_STACK_BYTES // (8 *
-    C(2m, m)) packed states go to one reduced_state call, so fit // len(temps) consecutive cells share a
-    stacked_spectra and a reduced_state call; when that is 0, a lone cell yields its states lazily, fit
-    temperatures per reduced_state call."""
-    fit = max(1, MAX_STACK_BYTES // (8 * math.comb(2 * cells[0].m, cells[0].m)))
-    size = fit // len(temps)
-    for i in range(0, len(cells), max(1, size)):
-        spectra = stacked_spectra(symmetry_hamiltonians(cells[i:i + max(1, size)]))
-        if size:
-            yield from zip(spectra, reduced_state(spectra, cells[0], temps))
-        else:
-            yield spectra[0], (rho for j in range(0, len(temps), fit)
-                               for rho in reduced_state(spectra, cells[0], temps[j:j + fit])[0])
+    """Yield (spectrum, reduced states) per cell, the spectrum a view of its stack's (see stacked_spectra).
+
+    A stacked_spectra call takes the consecutive cells whose spectra fit MAX_STACK_BYTES: per cell, its
+    sectors' padded solved-block eigenvectors and four arrays over its 2^(m+1) eigenvalues.  A reduced_state
+    call takes the states that fit it: per state, C(2m, m) packed floats, 2^(m+1) weights and the largest
+    gather of thermal._orbit_rows: fit // len(temps) cells, or a lone cell's states lazily, fit at a time.
+    """
+    m = cells[0].m
+    blocks = [dihedral_blocks(m, k) for k in range(m + 2)]
+    spectrum = sum((b.solved.max() + 1) * b.width ** 2 for b in blocks) + 4 * 2 ** (m + 1)
+    gather = max(half[0].shape[0] * half[2].size for b in blocks for half in b.halves)
+    size = max(1, MAX_STACK_BYTES // (8 * spectrum))
+    fit = max(1, MAX_STACK_BYTES // (8 * (math.comb(2 * m, m) + 2 ** (m + 1) + gather)))
+    group = max(1, fit // len(temps))
+    for i in range(0, len(cells), size):
+        spectra = stacked_spectra(symmetry_hamiltonians(cells[i:i + size]))
+        for j in range(0, len(spectra), group):
+            part = spectra[j:j + group]
+            calls = (reduced_state(part, cells[0], temps[t:t + fit]) for t in range(0, len(temps), fit))
+            if len(part) > 1:  # every temperature in one call
+                yield from zip(part, next(calls))
+            else:
+                yield part[0], (rho for states in calls for rho in states[0])
 
 
 @dataclass(frozen=True)

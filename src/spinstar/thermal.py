@@ -99,12 +99,12 @@ def _orbit_rows(gibbs, half) -> np.ndarray:
     return np.einsum("...rsk,sk->...rs", picked, column_entries)
 
 
-def reduced_state(spectra, params: SpinStarParams, temperatures) -> np.ndarray:
+def reduced_state(spectra: SpectralDecomposition, params: SpinStarParams, temperatures) -> np.ndarray:
     """Gibbs states with the central spin traced out, packed: a (cells, temperatures, C(2m, m)) stack.
 
-    spectra come from one stacked_spectra call of symmetry_hamiltonians, of cells sharing params.m and
-    params.omega; ValueError for any other spectra (a dense oracle's), or if their sector 0, the vacuum,
-    does not sit at -(m+1)*omega/2.  Of sector k's Gibbs block only the
+    spectra is a stack of stacked_spectra of symmetry_hamiltonians, or a slice (spectra[i:j], spec[None]),
+    of cells sharing params.m and params.omega; ValueError for any other (one cell's view, a dense oracle's),
+    or if their sector 0, the vacuum, does not sit at -(m+1)*omega/2.  Of sector k's Gibbs block only the
     centre-0 part (its first C(m, k) states) and the centre-1 part are formed, over all cells x
     temperatures at once, from the eigenvectors that any cell keeps: M_p = U_p diag(w) U_p^T per solved
     dihedral block, then only the rows of each ring orbit's least state, sum_c Q_c[least] M_p Q_c^T,
@@ -115,28 +115,27 @@ def reduced_state(spectra, params: SpinStarParams, temperatures) -> np.ndarray:
     (operators.packed_positions), and each state divided by its own trace.  No 2^m x 2^m matrix is formed.
     """
     kts, m = [check_temperature(t) * params.omega for t in temperatures], params.m
-    if any([block[0] for block in spec.blocks] != list(range(m + 2))
-           or any(block[2] is None for block in spec.blocks) for spec in spectra):
-        raise ValueError(f"expected the dihedral excitation-sector spectrum of an m={m} star")
-    vacuum = np.array([spec.eigenvalues[spec.ranks[0]] for spec in spectra])
+    if (spectra.eigenvalues.ndim != 2 or [block[0] for block in spectra.blocks] != list(range(m + 2))
+            or any(block[2] is None for block in spectra.blocks)):
+        raise ValueError(f"expected the dihedral excitation-sector spectra of a stack of m={m} stars")
+    vacuum = np.take_along_axis(spectra.eigenvalues, spectra.ranks[:, :1], axis=-1)[:, 0]
     if not np.all(abs(vacuum + (m + 1) * params.omega / 2) <= 1e-12 * (m + 1) * params.omega):
         raise ValueError(f"the spectra's vacuum levels {vacuum} are not -(m+1)*omega/2 "
                          f"for omega={params.omega}")
     # each sector's weights in its blocks' order, gathered once
-    gaps, ranks = np.array([spec.gaps for spec in spectra]), np.array([spec.ranks for spec in spectra])
-    weights = _boltzmann(np.take_along_axis(gaps, ranks, axis=-1)[:, None], kts)
+    weights = _boltzmann(np.take_along_axis(spectra.gaps, spectra.ranks, axis=-1)[:, None], kts)
     # the rows of peripheral block j's orbits' least states, from sector j's centre-0 part (its first
     # C(m, j) states) and sector j+1's centre-1 part
     rows, start = [[] for _ in range(m + 1)], 0
     for k in range(m + 2):
-        dihedral, d = spectra[0].blocks[k][2], math.comb(m + 1, k)
+        (_, _, dihedral, vectors), d = spectra.blocks[k], math.comb(m + 1, k)
         w, start = weights[..., start:start + d], start + d
         padded = np.zeros((*w.shape[:2], dihedral.solved.max() + 1, 1, dihedral.width))
         padded.reshape(*w.shape[:2], -1)[..., dihedral.slots] = w  # a partner copy writes its block's again
         n = int(np.count_nonzero(padded.any(axis=(0, 1, 2, 3))))
         if n:
-            vectors = np.array([s.blocks[k][3][..., :n] for s in spectra])[:, None]
-            gibbs = (vectors * padded[..., :n]) @ vectors.swapaxes(-1, -2)
+            kept = vectors[:, None, ..., :n]
+            gibbs = (kept * padded[..., :n]) @ kept.swapaxes(-1, -2)
             for j, half in zip((k, k - 1), dihedral.halves):
                 if 0 <= j <= m:
                     rows[j].append(_orbit_rows(gibbs, half))
@@ -148,7 +147,7 @@ def reduced_state(spectra, params: SpinStarParams, temperatures) -> np.ndarray:
         size, start = math.comb(m, j), base[(1 << j) - 1]  # the block's least state: j excitations lowest
         out = rho[..., start:start + size * size].reshape(*rho.shape[:-1], size, size)
         least = sum(least[1:], least[0])
-        block = least.reshape(*least.shape[:-2], -1).take(spectra[0].blocks[j][2].fill, axis=-1)
+        block = least.reshape(*least.shape[:-2], -1).take(spectra.blocks[j][2].fill, axis=-1)
         np.add(block, block.swapaxes(-1, -2), out=out)
         out *= 0.5
     rho /= rho.take(base + rank, axis=-1).sum(axis=-1)[..., None]  # the diagonal, summed in basis-index order
@@ -166,4 +165,4 @@ def unpack(packed) -> np.ndarray:
 
 def reduced_thermal_state(params: SpinStarParams, t: float) -> np.ndarray:
     """Dense thermal state of the full star with the central spin traced out; reduced_state checks t."""
-    return unpack(reduced_state([star_spectrum(params)], params, [t])[0, 0])
+    return unpack(reduced_state(star_spectrum(params)[None], params, [t])[0, 0])

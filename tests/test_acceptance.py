@@ -216,7 +216,7 @@ def test_criterion_07_activated_cells_match_oracle():
         assert vacuum_ground(1.0, eps, eta)
         params = SpinStarParams(m=3, omega=1.0, epsilon=eps, eta=eta)
         spec = star_spectrum(params)
-        columns = evaluate_cell(spec, params, (0.01, 0.1), reduced_state([spec], params, (0.01, 0.1))[0])
+        columns = evaluate_cell(spec, params, (0.01, 0.1), reduced_state(spec[None], params, (0.01, 0.1))[0])
         cold, warm = ([columns[f"neg_cut_{k}"][row] for k in (1, 2, 3)] for row in (0, 1))
         brute_cold = brute_cut_negativities(eps, eta, 0.01)
         brute_warm = brute_cut_negativities(eps, eta, 0.1)

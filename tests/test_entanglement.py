@@ -201,6 +201,14 @@ def test_multipartite_input_errors():
             multipartite_negativity(rho)
 
 
+@pytest.mark.parametrize("rho", [np.eye(2) / 2, np.array([0.5, 0.5])], ids=["dense", "packed"])
+def test_a_one_spin_state_has_no_cut(rho):
+    # the message names the state, not the part_a argument that negativity takes
+    message = "^a one-spin state has no one-spin-versus-rest cut; m >= 2 spins are needed$"
+    with pytest.raises(ValueError, match=message):
+        multipartite_negativity(rho)
+
+
 @pytest.mark.parametrize("m", range(2, 7))
 def test_multipartite_reads_m_from_the_shape(m):
     packed = ring_states(m, [0.1])[0]
@@ -304,7 +312,7 @@ def test_each_spelling_of_a_cut_shares_one_index():
 
 def ring_states(m, temperatures=(0.0, 0.01, 1.0)):
     params = SpinStarParams(m=m, omega=1.0, epsilon=1.3, eta=0.7)
-    return reduced_state([star_spectrum(params)], params, list(temperatures))[0]
+    return reduced_state(star_spectrum(params)[None], params, list(temperatures))[0]
 
 
 def recorded_spectra(monkeypatch):

@@ -44,7 +44,7 @@ def test_sector_route_matches_dense_reference(m):
         assert np.max(np.abs(spec.eigenvalues - dense.eigenvalues)) <= 1e-12 * scale
         assert ground_manifold(spec).degeneracy == ground_manifold(dense).degeneracy
 
-        [[packed]] = reduced_state([spec], params, [t])
+        [[packed]] = reduced_state(spec[None], params, [t])
         rho = unpack(packed)
         reference = partial_trace(gibbs_state_from_spectrum(dense, t), range(1, n))
         assert np.max(np.abs(rho - reference)) <= 1e-12
@@ -105,7 +105,7 @@ def test_translation_blocks_match_dense_route(m, monkeypatch):
         vectors = spec.vectors(spec.dim)
         assert np.max(np.abs(vectors.T @ vectors - np.eye(spec.dim))) <= 1e-12
         assert np.max(np.abs(h @ vectors - vectors * spec.eigenvalues)) <= 1e-12 * scale
-        [[packed]] = reduced_state([spec], params, [t])
+        [[packed]] = reduced_state(spec[None], params, [t])
         rho = unpack(packed)
         reference = partial_trace(gibbs_state_from_spectrum(dense, t), range(1, n))
         assert np.max(np.abs(rho - reference)) <= 1e-12
@@ -127,7 +127,7 @@ def test_dihedral_route_at_the_default_threshold(m):
         scale = np.max(np.abs(dense.eigenvalues))
         assert np.max(np.abs(spec.eigenvalues - dense.eigenvalues)) <= 1e-12 * scale
         temps = [0.0, 0.01, 1.0]
-        for t, packed in zip(temps, reduced_state([spec], params, temps)[0]):
+        for t, packed in zip(temps, reduced_state(spec[None], params, temps)[0]):
             rho = unpack(packed)
             reference = partial_trace(gibbs_state_from_spectrum(dense, t), range(1, n))
             assert np.max(np.abs(rho - reference)) <= 1e-12
@@ -146,7 +146,7 @@ def test_reduced_states_are_exactly_rotation_invariant(m):
         params = SpinStarParams(m=m, omega=1.0, epsilon=epsilon, eta=eta)
         spec = star_spectrum(params)
         assert all(isinstance(dihedral, operators.DihedralBlocks) for _, _, dihedral, _ in spec.blocks)
-        for packed in reduced_state([spec], params, [0.0, 0.01, 1.0])[0]:
+        for packed in reduced_state(spec[None], params, [0.0, 0.01, 1.0])[0]:
             rho = unpack(packed)
             assert np.array_equal(rho[np.ix_(turned, turned)], rho)
 
@@ -271,7 +271,7 @@ def test_block_form_vectors_give_the_dense_projector(m, epsilon, eta, degeneracy
 def test_packed_and_dense_states_give_identical_cuts(m):
     # below the split threshold the packed route gathers the blocks the dense one does
     params = SpinStarParams(m=m, omega=1.0, epsilon=1.3, eta=0.7)
-    for packed in reduced_state([star_spectrum(params)], params, [0.0, 0.1, 5.0])[0]:
+    for packed in reduced_state(star_spectrum(params)[None], params, [0.0, 0.1, 5.0])[0]:
         rho = unpack(packed)
         assert np.array_equal(rho.take(operators.packed_entries(m)), packed)
         for k in range(m):
@@ -283,7 +283,7 @@ def test_multi_spin_packed_cuts_match_the_brute_transpose(m):
     # ring states, and one mixed with an excitation-conserving state that no ring symmetry fixes
     rng = np.random.default_rng(40 + m)
     params = SpinStarParams(m=m, omega=1.0, epsilon=1.3, eta=0.7)
-    states = list(reduced_state([star_spectrum(params)], params, [0.0, 0.1])[0])
+    states = list(reduced_state(star_spectrum(params)[None], params, [0.0, 0.1])[0])
     root = rng.normal(size=(2 ** m, 2 ** m))
     noise = (root @ root.T).take(operators.packed_entries(m))
     states.append(0.7 * states[1] + 0.3 * noise / unpack(noise).trace())
@@ -299,7 +299,7 @@ def test_multi_spin_packed_cuts_match_the_brute_transpose(m):
 def test_reflection_split_at_the_default_threshold(m, monkeypatch):
     # the 70-state charge blocks at m=8, the 84- and 126-state ones at m=9, split against unsplit
     params = SpinStarParams(m=m, omega=1.0, epsilon=1.3, eta=0.7)
-    states = reduced_state([star_spectrum(params)], params, [0.0, 0.1])[0]
+    states = reduced_state(star_spectrum(params)[None], params, [0.0, 0.1])[0]
     split = [[negativity(packed, (k,)) for k in range(m)] for packed in states]
     monkeypatch.setattr(entanglement, "SYMMETRY_MIN_DIM", 10 ** 9)
     whole = [[negativity(packed, (k,)) for k in range(m)] for packed in states]
@@ -311,7 +311,7 @@ def test_reflection_breaking_state_is_diagonalized_whole(monkeypatch):
     m, rng = 4, np.random.default_rng(15)
     monkeypatch.setattr(entanglement, "SYMMETRY_MIN_DIM", 1)
     params = SpinStarParams(m=m, omega=1.0, epsilon=1.3, eta=0.7)
-    ring = unpack(reduced_state([star_spectrum(params)], params, [0.3])[0, 0])
+    ring = unpack(reduced_state(star_spectrum(params)[None], params, [0.3])[0, 0])
     noise = np.zeros_like(ring)
     for j in range(m + 1):
         states = [i for i in range(2 ** m) if i.bit_count() == j]

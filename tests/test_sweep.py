@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,26 +110,59 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     assert texts[0] == texts[1]
 
 
-@pytest.mark.parametrize("m", [3, 5, 7])
-def test_output_does_not_depend_on_the_stack_budget(monkeypatch, m):
-    # t = 0, t = 1e-15 and the degenerate epsilon = eta = 1 cells included; m=7 solves its
-    # largest sectors in dihedral blocks
-    grid = small_grid(m=m, epsilon_axis=(0.0, 2.0, 5), eta_axis=(0.0, 2.0, 3),
-                      temperatures=(0.0, 1e-15, 0.3, 2.0))
-    texts, counts, calls, solve = [], [], [], sweep.stacked_spectra
-    monkeypatch.setattr(sweep, "stacked_spectra", lambda stacks: calls.append(1) or solve(stacks))
+@pytest.mark.parametrize("m, temps, default", [
+    # the default budget: one eigensolve of the 15 cells below m=8 (728 cells fit at m=3, 170 at
+    # m=5, 28 at m=7) and two of 8 and 7 at m=8; Gibbs calls of every cell at once at m=3 (1213
+    # states fit) and m=5 (127), of 2 cells at four temperatures at m=7 (10 states fit), and of one
+    # cell at m=8 (2 states fit)
+    (3, (0.0, 1e-15, 0.3, 2.0), (1, 1)),
+    (5, (0.0, 1e-15, 0.3, 2.0), (1, 1)),
+    (7, (0.0, 1e-15, 0.3, 2.0), (1, 8)),
+    (8, (0.0, 0.3), (2, 15)),
+], ids=["3", "5", "7", "8"])
+def test_output_does_not_depend_on_the_stack_budget(monkeypatch, m, temps, default):
+    # t = 0, t = 1e-15 and the epsilon = eta = 1 cells included, degenerate at odd m; from m=7 on the
+    # largest sectors are solved in dihedral blocks
+    grid = small_grid(m=m, epsilon_axis=(0.0, 2.0, 5), eta_axis=(0.0, 2.0, 3), temperatures=temps)
+    texts, counts, calls = [], [], []
+    for name in ("stacked_spectra", "reduced_state"):
+        monkeypatch.setattr(sweep, name, lambda *args, call=getattr(sweep, name), name=name:
+                            calls.append(name) or call(*args))
     for budget in (1, sweep.MAX_STACK_BYTES, 10 ** 9):
         monkeypatch.setattr(sweep, "MAX_STACK_BYTES", budget)
         calls.clear()
         texts.append("\n".join(csv_lines(sweep_records(grid))))
-        counts.append(len(calls))
-    assert counts[0] == 15 and counts[2] == 1  # one cell per stack, then the whole grid in one
-    # the default budget: fit // 4 cells per stack, 102 at m=3 and 8 at m=5, and m=7 cells alone
-    assert counts[1] == {3: 1, 5: 2, 7: 15}[m]
+        counts.append((calls.count("stacked_spectra"), calls.count("reduced_state")))
+    # one cell per eigensolve and one state per Gibbs call, then the whole grid in one of each
+    assert counts[0] == (15, 15 * len(temps)) and counts[2] == (1, 1)
+    assert counts[1] == default
     assert texts[0] == texts[1] == texts[2]
     columns = sweep_records(grid)
     assert any(flag and eps == eta == 1.0 for flag, eps, eta
-               in zip(columns["degenerate_cell"], columns["epsilon"], columns["eta"]))
+               in zip(columns["degenerate_cell"], columns["epsilon"], columns["eta"])) == (m % 2 == 1)
+
+
+def test_a_sweep_holds_at_most_a_few_budgets_over_one_lone_cell(monkeypatch):
+    # tracemalloc's peak of an m=8 sweep of 16 cells at two temperatures: the stack's spectra, the
+    # last stack's still read by its last cell, and one Gibbs call each fit MAX_STACK_BYTES, on top
+    # of what one lone cell holds; at the default budget it reads 1.7 budgets over the lone cell
+    grid = SweepGrid(m=8, omega=1.0, epsilon_axis=(0.5, 2.0, 4), eta_axis=(0.5, 2.0, 4),
+                     temperatures=(0.1, 1.0))
+    lone = SweepGrid(m=8, omega=1.0, epsilon_axis=(0.5, 0.5, 1), eta_axis=(0.5, 0.5, 1),
+                     temperatures=(0.1,))
+    sweep_records(lone)  # the m=8 caches (sectors, dihedral blocks, cut indices) outside the traces
+
+    def peak(grid):
+        tracemalloc.start()
+        try:
+            sweep_records(grid)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for budget in (sweep.MAX_STACK_BYTES, 4 * sweep.MAX_STACK_BYTES):
+        monkeypatch.setattr(sweep, "MAX_STACK_BYTES", budget)
+        assert peak(grid) <= 3 * budget + peak(lone)
 
 
 def test_csv_schema_matches_m():

@@ -252,7 +252,7 @@ def test_stack_matches_each_cell_alone(m):
         stack = reduced_state(spectra, cells[0], temps)
         assert stack.shape == (len(cells), len(temps), math.comb(2 * m, m))
         for spec, params, states in zip(spectra, cells, stack):
-            assert np.array_equal(states, reduced_state([spec], params, temps)[0])
+            assert np.array_equal(states, reduced_state(spec[None], params, temps)[0])
 
 
 @pytest.mark.parametrize("other", [SpinStarParams(m=3, omega=2.0, epsilon=1.0, eta=0.5),
@@ -276,7 +276,10 @@ def test_reduced_state_rejects_dense_oracle_spectra():
     # the Gibbs step reads each sector's dihedral blocks: spectrum_blocked's whole sectors are refused
     params = SpinStarParams(m=3, omega=1.0, epsilon=1.0, eta=0.5)
     with pytest.raises(ValueError, match="dihedral"):
-        reduced_state([spectrum_blocked(build_hamiltonian(params))], params, [0.1])
+        reduced_state(spectrum_blocked(build_hamiltonian(params))[None], params, [0.1])
+    # so is one cell's view, which has no cells axis: a stack of it is spec[None]
+    with pytest.raises(ValueError, match="stack"):
+        reduced_state(star_spectrum(params), params, [0.1])
 
 
 def test_reduced_rejects_negative_temperature():
