@@ -64,9 +64,14 @@ def partial_transpose(rho: np.ndarray, part_a) -> np.ndarray:
     return tensor.transpose(perm).reshape(rho.shape)
 
 
-def _qubits(rho: np.ndarray) -> int:
-    """n of a packed (C(2n, n),) state or a dense (2^n, 2^n) matrix; ValueError for any other shape."""
-    return packed_qubits(rho.shape) if rho.ndim == 1 else qubit_count(rho.shape)
+def _state(rho: np.ndarray) -> tuple[np.ndarray, int]:
+    """(rho, n) of a packed (C(2n, n),) state, returned as is, or of a dense (2^n, 2^n) matrix, packed
+    when an exact nonzero count puts every entry in its excitation blocks; ValueError for any other shape."""
+    if rho.ndim == 1:
+        return rho, packed_qubits(rho.shape)
+    n_qubits = qubit_count(rho.shape)
+    packed = rho.take(packed_entries(n_qubits))
+    return (packed if np.count_nonzero(packed) == np.count_nonzero(rho) else rho), n_qubits
 
 
 @lru_cache(maxsize=64, typed=True)
@@ -174,16 +179,13 @@ def negativity(rho: np.ndarray, part_a) -> float:
     up its cut, gathers, and checks the floor and the trace.
     """
     global _last_cut
-    rho = np.asarray(rho)
-    n_qubits = _qubits(rho)
-    packed = rho if rho.ndim == 1 else rho.take(packed_entries(n_qubits))
+    rho, n_qubits = _state(np.asarray(rho))
     part, index, diagonal, layout = _cut(n_qubits, SYMMETRY_MIN_DIM, *part_a)
-    whole = packed is not rho and np.count_nonzero(packed) != np.count_nonzero(rho)
     try:
-        if whole:
+        if rho.ndim == 2:  # a dense matrix with an entry off its excitation blocks
             raw = np.add.reduce(np.abs(np.linalg.eigvalsh(partial_transpose(rho, part))), axis=None)
         else:
-            gathered = packed[index]  # indexing: take converts the int32 index first, 2.5x slower at m=9
+            gathered = rho[index]  # indexing: take converts the int32 index first, 2.5x slower at m=9
             # float64: every state reduced_state makes; other dtypes are solved every call
             bits = gathered.view(np.int64) if gathered.dtype == np.float64 else None
             last = _last_cut  # read once; a call on another thread replaces the whole entry
@@ -203,7 +205,7 @@ def negativity(rho: np.ndarray, part_a) -> float:
         raise NumericalInvariantError(
             f"negativity {raw:.3e} fails the {NEGATIVITY_FLOOR} floor; input is not a valid state")
     # the eigenvalues' sum, in basis-index order; the floor misses an excess
-    trace = sum((rho.diagonal() if whole else packed.take(diagonal)).real.tolist())
+    trace = sum((rho.diagonal() if rho.ndim == 2 else rho.take(diagonal)).real.tolist())
     if not abs(trace - 1.0) <= -NEGATIVITY_FLOOR:  # NaN fails too
         raise NumericalInvariantError(f"trace {trace:.12g} is not 1; input is not a valid state")
     if raw <= ZERO_SNAP:
@@ -218,8 +220,8 @@ def multipartite_negativity(rho: np.ndarray) -> NegativityReport:
     separable and bi-separable states report no multipartite entanglement; exactly their common value
     when all cuts are equal.
     """
-    rho = np.asarray(rho)
-    if (m := _qubits(rho)) < 2:
+    rho, m = _state(np.asarray(rho))  # a dense state is packed once, for all m cuts
+    if m < 2:
         raise ValueError("a one-spin state has no one-spin-versus-rest cut; m >= 2 spins are needed")
     values = tuple(negativity(rho, (k,)) for k in range(m))
     low = min(values)

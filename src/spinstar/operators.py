@@ -63,10 +63,6 @@ class SpinStarParams:
                              f"MAX_ENERGY={MAX_ENERGY:g} (omega={self.omega}, "
                              f"epsilon={self.epsilon}, eta={self.eta})")
 
-    @property
-    def n_qubits(self) -> int:
-        return self.m + 1
-
 
 def qubit_subset(qubits, n_qubits: int) -> tuple[int, ...]:
     """The distinct indices in qubits, sorted; ValueError unless they are integers in 0..n_qubits-1."""
@@ -143,7 +139,7 @@ def build_hamiltonian(params: SpinStarParams) -> np.ndarray:
     with the total excitation number.  A test and benchmark oracle: the
     evaluation path never forms it.
     """
-    h = np.zeros((2 ** params.n_qubits,) * 2)
+    h = np.zeros((2 ** (params.m + 1),) * 2)
     for k, states, flat, central, ring in sector_terms(params.m):
         block = np.zeros(states.size ** 2)
         block[flat] = params.epsilon * central + params.eta * ring

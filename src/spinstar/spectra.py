@@ -107,8 +107,6 @@ def stacked_spectra(stacks) -> SpectralDecomposition:
     """
     solved = [(k, states, *_eigh(stack)) for k, states, stack in stacks]
     values = np.concatenate([w for *_, w, _ in solved], axis=-1)
-    if values.shape[-1] == 0:
-        raise ValueError("empty spectral decomposition")
     order = values.argsort(axis=-1, kind="stable")  # exact ties stay in block order
     values = np.take_along_axis(values, order, axis=-1)
     labels = np.repeat([k for k, *_ in solved], [w.shape[-1] for *_, w, _ in solved])[order]

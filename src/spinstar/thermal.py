@@ -37,7 +37,9 @@ def _boltzmann(gaps: np.ndarray, kts) -> np.ndarray:
     kts = np.asarray(kts, dtype=float)[:, None]
     cold = kts == 0
     with np.errstate(over="ignore"):  # a gap/kt past the float range is weight 0, not a warning
-        weights = np.where(cold, gaps == 0, np.exp(-gaps / np.where(cold, 1.0, kts)))
+        weights = np.divide(gaps, np.where(cold, -1.0, -kts))  # one array, exponentiated in place
+        np.exp(weights, out=weights)
+    np.copyto(weights, gaps == 0, where=cold)
     weights[weights < WEIGHT_FLOOR] = 0.0
     return weights
 

@@ -200,11 +200,17 @@ def test_invalid_subcommand_exits_2(capsys):
     assert excinfo.value.code == 2
 
 
-def test_bad_range_string_exits_2(capsys):
+@pytest.mark.parametrize("epsilon_range, temps, message", [
+    ("0:10", "0.1", "expected MIN:MAX:COUNT, got '0:10'"),
+    ("a:b:3", "0.1", "expected MIN:MAX:COUNT, got 'a:b:3'"),
+    ("0:10:3", "x,y", "expected T1,T2,..., got 'x,y'"),
+    ("0:10:3", ",", "at least one temperature is required"),
+], ids=["too-few-parts", "not-a-number", "bad-temperature", "no-temperature"])
+def test_bad_range_string_exits_2(capsys, epsilon_range, temps, message):
     with pytest.raises(SystemExit) as excinfo:
-        cli.main(["sweep", "--epsilon-range", "0:10", "--eta-range", "0:10:3",
-                  "--temps", "0.1"])
+        cli.main(["sweep", "--epsilon-range", epsilon_range, "--eta-range", "0:10:3", "--temps", temps])
     assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_invalid_params_return_2(capsys):

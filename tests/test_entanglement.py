@@ -209,12 +209,25 @@ def test_a_one_spin_state_has_no_cut(rho):
         multipartite_negativity(rho)
 
 
-@pytest.mark.parametrize("m", range(2, 7))
+@pytest.mark.parametrize("m", range(2, 12))
 def test_multipartite_reads_m_from_the_shape(m):
     packed = ring_states(m, [0.1])[0]
     report = multipartite_negativity(packed)
     assert len(report.per_cut) == m and multipartite_negativity(unpack(packed)) == report
     assert report.per_cut == tuple(negativity(packed, (k,)) for k in range(m))
+
+
+@pytest.mark.parametrize("m", [2, 5, 8])
+def test_a_dense_state_is_packed_once_for_all_cuts(m, monkeypatch):
+    # multipartite_negativity packs a dense state once and hands each cut the packed array;
+    # negativity alone still packs the dense matrix it is given
+    calls, entries = [], entanglement.packed_entries
+    monkeypatch.setattr(entanglement, "packed_entries", lambda n: calls.append(n) or entries(n))
+    dense = unpack(ring_states(m, [0.1])[0])
+    multipartite_negativity(dense)
+    assert calls == [m]
+    negativity(dense, (0,))
+    assert calls == [m, m]
 
 
 def test_local_unitary_invariance():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from spinstar import (
     reduced_thermal_state,
     star_spectrum,
 )
+from spinstar import thermal
 from spinstar.operators import build_hamiltonian, symmetry_hamiltonians
 from spinstar.spectra import spectrum_blocked, stacked_spectra
 from spinstar.thermal import gibbs_state_from_spectrum, partial_trace, reduced_state, zero_temperature_state
@@ -280,6 +282,22 @@ def test_reduced_state_rejects_dense_oracle_spectra():
     # so is one cell's view, which has no cells axis: a stack of it is spec[None]
     with pytest.raises(ValueError, match="stack"):
         reduced_state(star_spectrum(params), params, [0.1])
+
+
+def test_boltzmann_weights_are_formed_in_one_array():
+    # tracemalloc's peak of one _boltzmann call on 400 stacked m=3 spectra at five temperatures, the
+    # cold one among them: the weights and the floor's mask, not a copy per step
+    rng = np.random.default_rng(27)
+    cells = [SpinStarParams(m=3, omega=1.0, epsilon=eps, eta=eta) for eps, eta in rng.uniform(-5, 5, (400, 2))]
+    spectra = stacked_spectra(symmetry_hamiltonians(cells))
+    gaps = np.take_along_axis(spectra.gaps, spectra.ranks, axis=-1)[:, None]
+    tracemalloc.start()
+    try:
+        weights = thermal._boltzmann(gaps, [0.0, 0.01, 0.1, 1.0, 5.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert weights.shape == (400, 5, 16) and peak <= 1.6 * weights.nbytes
 
 
 def test_reduced_rejects_negative_temperature():
