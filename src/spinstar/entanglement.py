@@ -32,7 +32,8 @@ REFLECTION_TOL = 1e-12
 SYMMETRY_MIN_DIM = 60
 
 
-# negativity's last packed cut: (layout, its gathered values as int64 bits, their sum of |eigenvalues|)
+# negativity's last ring state: ((SYMMETRY_MIN_DIM, REFLECTION_TOL), a copy of its bytes, its one-spin
+# negativity); a state solved under other settings is solved again
 _last_cut = None
 
 
@@ -132,6 +133,19 @@ def _cut(n_qubits: int, min_dim: int, *part_a):
     return part, index, diagonal, tuple(layout)
 
 
+@lru_cache(maxsize=16)
+def _turned(n_qubits: int) -> np.ndarray:
+    """Packed position of (T a, T b) for each packed entry (a, b), T the ring turn, spin j to spin j + 1
+    (operators.ring_turns); int32, read-only.  A packed state the turn leaves unchanged equals its
+    gather through this index bit for bit, and so gathers the same bits at every one-spin cut (see _cut)."""
+    excited, base, rank = excitations(n_qubits), *packed_positions(n_qubits)
+    turned = ring_turns(np.arange(2 ** n_qubits), n_qubits)[1]
+    index = np.concatenate([(base[rows][:, None] + rank[rows]).ravel()
+                            for rows in (turned[excited == k] for k in range(n_qubits + 1))]).astype(np.int32)
+    index.setflags(write=False)
+    return index
+
+
 def _spectra(blocks, split) -> list:
     """Eigenvalues of a (count, size, size) stack of charge blocks with the split of _cut.
 
@@ -172,32 +186,29 @@ def negativity(rho: np.ndarray, part_a) -> float:
     count puts every nonzero entry in its excitation blocks; else its whole
     transpose is diagonalized.  A packed state's charge blocks (see _cut)
     are diagonalized alone, or as their reflection-even and -odd parts (see _spectra).
-    The last float64 gather and its sum of |eigenvalues| are kept: a call whose
-    gather has the same layout and the same bits (compared as int64, so +-0.0
-    and NaN stay apart) reuses the sum, so the m one-spin cuts of a state
-    invariant under the ring rotation are solved once.  Every call still looks
-    up its cut, gathers, and checks the floor and the trace.
+    After a one-spin cut of a float64 packed state that the ring rotation leaves
+    unchanged bit for bit (see _turned), a copy of the state's bytes and the value
+    are kept: every one-spin cut of that state gathers the same bits, so a later
+    call with (k,), k an int, on a state of the same bytes returns the value kept,
+    without a gather, an index or a trace sum.  Any other call is solved in full.
     """
     global _last_cut
     rho, n_qubits = _state(np.asarray(rho))
+    last = _last_cut  # read once; a call on another thread replaces the whole entry
+    if (last is not None and type(part_a) is tuple and len(part_a) == 1 and type(part_a[0]) is int
+            and 0 <= part_a[0] < n_qubits and rho.dtype == np.float64 and rho.ndim == 1
+            and last[0] == (SYMMETRY_MIN_DIM, REFLECTION_TOL) and rho.tobytes() == last[1]):
+        return last[2]
     part, index, diagonal, layout = _cut(n_qubits, SYMMETRY_MIN_DIM, *part_a)
     try:
         if rho.ndim == 2:  # a dense matrix with an entry off its excitation blocks
             raw = np.add.reduce(np.abs(np.linalg.eigvalsh(partial_transpose(rho, part))), axis=None)
         else:
             gathered = rho[index]  # indexing: take converts the int32 index first, 2.5x slower at m=9
-            # float64: every state reduced_state makes; other dtypes are solved every call
-            bits = gathered.view(np.int64) if gathered.dtype == np.float64 else None
-            last = _last_cut  # read once; a call on another thread replaces the whole entry
-            if bits is not None and last is not None and last[0] == layout and np.array_equal(last[1], bits):
-                raw = last[2]
-            else:
-                raw = 0.0  # one running sum, stack after stack in layout order
-                for span, shape, split in layout:
-                    for values in _spectra(gathered[span].reshape(shape), split):
-                        raw += np.add.reduce(np.abs(values), axis=None)  # skips ndarray.sum's wrapper
-                if bits is not None:
-                    _last_cut = (layout, bits, raw)
+            raw = 0.0  # one running sum, stack after stack in layout order
+            for span, shape, split in layout:
+                for values in _spectra(gathered[span].reshape(shape), split):
+                    raw += np.add.reduce(np.abs(values), axis=None)  # skips ndarray.sum's wrapper
     except np.linalg.LinAlgError as exc:  # eigvalsh may not converge on a NaN or inf entry
         raise NumericalInvariantError(f"partial transpose: {exc}; input is not a valid state") from exc
     raw = float(raw) - 1.0
@@ -208,9 +219,12 @@ def negativity(rho: np.ndarray, part_a) -> float:
     trace = sum((rho.diagonal() if rho.ndim == 2 else rho.take(diagonal)).real.tolist())
     if not abs(trace - 1.0) <= -NEGATIVITY_FLOOR:  # NaN fails too
         raise NumericalInvariantError(f"trace {trace:.12g} is not 1; input is not a valid state")
-    if raw <= ZERO_SNAP:
-        return 0.0
-    return raw
+    value = 0.0 if raw <= ZERO_SNAP else raw
+    if len(part) == 1 and rho.ndim == 1 and rho.dtype == np.float64:
+        kept = rho.tobytes()  # bytes, so +-0.0 and NaN stay apart
+        if rho[_turned(n_qubits)].tobytes() == kept:
+            _last_cut = ((SYMMETRY_MIN_DIM, REFLECTION_TOL), kept, value)
+    return value
 
 
 def multipartite_negativity(rho: np.ndarray) -> NegativityReport:

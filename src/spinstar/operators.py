@@ -17,10 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-# A whole negativity --t 0.1 process (interpreter start included, medians of two rounds of 5,
-# single-threaded, 2-vCPU machine) takes 0.15 s and 37 MiB at m=9, 0.18 s and 50 MiB
-# at m=10, and 0.27-0.28 s and 96 MiB at m=11; the largest excitation sector,
-# C(m+1, (m+1)//2) states, is solved in dihedral blocks, and the m equal cuts once.
+# README's CLI section gives the measured cost of a whole negativity process
+# at m=9..11; the largest excitation sector, C(m+1, (m+1)//2) states, is solved in dihedral
+# blocks, and the m equal cuts once.
 MAX_M = 11
 
 # SpinStarParams rejects a norm bound (m+1)*omega/2 + m*(|epsilon|+|eta|) of H

@@ -377,6 +377,48 @@ def test_a_state_off_the_ring_symmetry_solves_every_cut(m, monkeypatch):
         assert abs(per_cut[k] - oracle) <= 1e-12
 
 
+@pytest.mark.parametrize("m", range(2, 12))
+def test_a_ring_state_builds_only_cut_zeros_index(m, monkeypatch):
+    monkeypatch.setattr(entanglement, "_last_cut", None)
+    states = ring_states(m)
+    entanglement._cut.cache_clear()
+    for packed in states:
+        multipartite_negativity(packed)
+    assert entanglement._cut.cache_info().currsize == 1
+    # a state off the ring symmetry still builds every one-spin cut's index
+    excited = np.zeros((2 ** m, 2 ** m))
+    excited[2 ** (m - 1), 2 ** (m - 1)] = 1.0
+    entanglement._cut.cache_clear()
+    multipartite_negativity(0.9 * unpack(states[0]) + 0.1 * excited)
+    assert entanglement._cut.cache_info().currsize == m
+
+
+def test_the_state_kept_is_a_copy_of_its_bits(monkeypatch):
+    m = 5
+    calls = recorded_spectra(monkeypatch)
+    layout = [shape for _, shape, _ in entanglement._cut(m, entanglement.SYMMETRY_MIN_DIM, 0)[3]]
+    packed = ring_states(m, [0.1])[0].copy()
+    negativity(packed, (0,))
+    calls.clear()
+    negativity(packed, (1,))
+    assert calls == []
+    packed *= 1 + 2 ** -52  # in place: the same array, other bits, still ring invariant
+    value = negativity(packed, (1,))
+    assert calls == layout
+    monkeypatch.setattr(entanglement, "_last_cut", None)
+    assert value == negativity(packed, (1,))
+    # a float32 state is solved at every cut; the same state in float64 at one
+    w = np.zeros(2 ** 4)
+    w[[1, 2, 4, 8]] = 0.5
+    rho = np.eye(2 ** 4) / 32 + np.outer(w, w) / 2  # entries exact in float32, trace exactly 1
+    layout = [shape for _, shape, _ in entanglement._cut(4, entanglement.SYMMETRY_MIN_DIM, 0)[3]]
+    for dtype, solved in ((np.float32, 4), (np.float64, 1)):
+        calls.clear()
+        monkeypatch.setattr(entanglement, "_last_cut", None)
+        multipartite_negativity(rho.astype(dtype))
+        assert calls == layout * solved
+
+
 def test_the_last_cut_kept_never_changes_a_value(monkeypatch):
     # states A, B, A: each cut gives exactly what it gives with nothing kept
     m = 5
