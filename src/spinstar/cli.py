@@ -95,14 +95,8 @@ def cmd_ground(args: argparse.Namespace) -> dict[str, list]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> dict[str, list]:
-    grid = SweepGrid(
-        m=args.m,
-        omega=args.omega,
-        epsilon_axis=args.epsilon_range,
-        eta_axis=args.eta_range,
-        temperatures=args.temps,
-    )
-    return sweep_records(grid)
+    return sweep_records(SweepGrid(m=args.m, omega=args.omega, epsilon_axis=args.epsilon_range,
+                                   eta_axis=args.eta_range, temperatures=args.temps))
 
 
 def _add_common(parser: argparse.ArgumentParser, point: bool = True) -> None:

@@ -223,7 +223,7 @@ class DihedralBlocks(NamedTuple):
     width: int
     groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     halves: tuple[tuple[np.ndarray, ...], ...]  # (orbits, copies, 2) twice, (states, 2 * copies) twice
-    fill: np.ndarray  # (C(m, k), C(m, k))
+    fill: np.ndarray  # (C(m, k), C(m, k)), int32
 
 
 @lru_cache(maxsize=64)
@@ -342,7 +342,8 @@ def dihedral_blocks(m: int, k: int) -> DihedralBlocks:
     groups = tuple((np.flatnonzero(part == b), *terms[:, part == b, :b, :b])
                    for b in sorted(set(part.tolist())))
     split = math.comb(m, k)  # the centre-0 part's states come first, and so do its orbits
-    fill = orbit[:split, None] * split + np.searchsorted(states[:split], turns[:, :split])[lowest[:split]]
+    fill = (orbit[:split, None] * split + np.searchsorted(states[:split], turns[:, :split])[lowest[:split]])
+    fill = fill.astype(np.int32)  # C(m, k)^2 < 2^31 up to m = 15, as for entanglement's cut index
     by_state = (columns + width * np.arange(solved.size)[:, None]).reshape(d, -1), coefficients.reshape(d, -1)
     parts = zip(np.split(least, [np.searchsorted(least, split)]), (slice(split), slice(split, d)))
     halves = tuple((solved[:, None] * width + columns[at], coefficients[at], *(x[piece] for x in by_state))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import multipartite_negativity
+from .entanglement import keep_ring_states, multipartite_negativity
 from .operators import SpinStarParams, dihedral_blocks, symmetry_hamiltonians
 from .spectra import SpectralDecomposition, ground_manifold, stacked_spectra
 from .thermal import check_temperature, reduced_state
@@ -51,7 +51,8 @@ def solve_stack(cells, temps):
         spectra = stacked_spectra(symmetry_hamiltonians(cells[i:i + size]))
         for j in range(0, len(spectra), group):
             part = spectra[j:j + group]
-            calls = (reduced_state(part, cells[0], temps[t:t + fit]) for t in range(0, len(temps), fit))
+            calls = (keep_ring_states(reduced_state(part, cells[0], temps[t:t + fit]))  # cut 0 of all at once
+                     for t in range(0, len(temps), fit))
             if len(part) > 1:  # every temperature in one call
                 yield from zip(part, next(calls))
             else:
@@ -147,16 +148,16 @@ def format_field(value) -> str:
 
 
 def write_records(columns: dict, stream, fmt: str = "csv") -> None:
-    """Write columns, each output name to an equal-length list, row by row: as CSV headed by the
-    names, or as JSON lines."""
-    names, rows = list(columns), zip(*columns.values())
+    """Write columns, each output name to an equal-length list, one write per row: as CSV headed by
+    the names, each column formatted once, or as JSON lines."""
+    names = list(columns)
     if fmt == "json":
-        for row in rows:
+        for row in zip(*columns.values()):
             stream.write(json.dumps(dict(zip(names, row))) + "\n")
     elif fmt == "csv":
         stream.write(",".join(names) + "\n")
-        for row in rows:
-            stream.write(",".join(map(format_field, row)) + "\n")
+        for row in zip(*(map(format_field, column) for column in columns.values())):
+            stream.write(",".join(row) + "\n")
     else:
         raise ValueError(f"unknown output format {fmt!r}")
 

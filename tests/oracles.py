@@ -168,3 +168,19 @@ def restrict_to_sector(op, sector):
     if idx.min() < 0 or idx.max() >= op.shape[0]:
         raise ValueError("sector index out of range")
     return op[np.ix_(idx, idx)]
+
+
+def free_fermion_spectrum(m, omega, eta):
+    """Closed-form spectrum of the star at epsilon = 0, ascending, for the tests at every m.
+
+    The centre decouples, so each level is omega*(k - (m+1)/2), k the excitations of centre and ring,
+    plus the XX ring's energy.  Jordan-Wigner makes the ring free fermions (Lieb, Schultz & Mattis,
+    Ann. Phys. 16, 407 (1961)): its boundary bond carries (-1)^(N-1) for N fermions, so the modes are
+    2 eta cos(2 pi (q + phi)/m), q = 0..m-1, phi = 0 for odd N and 1/2 for even N, and an N-fermion
+    level sums N distinct modes.  At m=2 the one bond, counted both ways, gives +-2 eta.
+    """
+    occupied = np.arange(2 ** m)[:, None] >> np.arange(m) & 1
+    count = occupied.sum(axis=1)
+    phi = np.where(count % 2 == 1, 0.0, 0.5)[:, None]
+    ring = (occupied * 2 * eta * np.cos(2 * np.pi * (np.arange(m) + phi) / m)).sum(axis=1)
+    return np.sort(np.concatenate([omega * (centre + count - (m + 1) / 2) + ring for centre in (0, 1)]))

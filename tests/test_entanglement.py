@@ -329,11 +329,16 @@ def ring_states(m, temperatures=(0.0, 0.01, 1.0)):
 
 
 def recorded_spectra(monkeypatch):
-    """A list that records each _spectra call's block shape, with an empty memo to start from."""
+    """A list that records, per state of each _spectra call, its block stack's shape, with an empty memo
+    to start from."""
     calls, solve = [], entanglement._spectra
+
+    def record(blocks, split):
+        calls.extend([blocks.shape[1:]] * len(blocks))
+        return solve(blocks, split)
+
     monkeypatch.setattr(entanglement, "_last_cut", None)
-    monkeypatch.setattr(entanglement, "_spectra", lambda blocks, split: calls.append(blocks.shape) or
-                        solve(blocks, split))
+    monkeypatch.setattr(entanglement, "_spectra", record)
     return calls
 
 
@@ -363,18 +368,103 @@ def test_one_cut_is_solved_per_ring_state(m, monkeypatch):
     assert calls == [shape for _, shape, _ in layout] * len(states)
 
 
-@pytest.mark.parametrize("m", [3, 4, 8])
-def test_a_state_off_the_ring_symmetry_solves_every_cut(m, monkeypatch):
-    calls = recorded_spectra(monkeypatch)
+def off_the_ring(m):
+    """0.9 of a ring state plus 0.1 of spin 0 up and the rest down: no longer invariant under the ring turn."""
     excited = np.zeros((2 ** m, 2 ** m))
-    excited[2 ** (m - 1), 2 ** (m - 1)] = 1.0  # spin 0 up, the rest down
-    rho = 0.9 * unpack(ring_states(m, [0.1])[0]) + 0.1 * excited
-    per_cut = multipartite_negativity(rho).per_cut
-    layout = entanglement._cut(m, entanglement.SYMMETRY_MIN_DIM, 0)[3]
-    assert calls == [shape for _, shape, _ in layout] * m
+    excited[2 ** (m - 1), 2 ** (m - 1)] = 1.0
+    return 0.9 * unpack(ring_states(m, [0.1])[0]) + 0.1 * excited
+
+
+def assert_cuts_match_the_brute_transpose(rho, per_cut):
+    m = len(per_cut)
     for k in range(m):
         oracle = np.sum(np.abs(np.linalg.eigvalsh(brute_partial_transpose(rho, (k,), m)))) - 1.0
         assert abs(per_cut[k] - oracle) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [3, 4, 8])
+def test_a_state_off_the_ring_symmetry_solves_every_cut(m, monkeypatch):
+    calls = recorded_spectra(monkeypatch)
+    rho = off_the_ring(m)
+    per_cut = multipartite_negativity(rho).per_cut
+    layout = entanglement._cut(m, entanglement.SYMMETRY_MIN_DIM, 0)[3]
+    assert calls == [shape for _, shape, _ in layout] * m
+    assert_cuts_match_the_brute_transpose(rho, per_cut)
+
+
+def cut_zero_shapes(m):
+    return [shape for _, shape, _ in entanglement._cut(m, entanglement.SYMMETRY_MIN_DIM, 0)[3]]
+
+
+def bits(values):
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("m", range(2, 12))
+def test_a_stack_keeps_each_ring_states_fresh_value(m, monkeypatch):
+    # five temperatures and the epsilon = eta = 1 crossing at t = 0, degenerate at odd m
+    params = SpinStarParams(m=m, omega=1.0, epsilon=1.0, eta=1.0)
+    stack = np.concatenate([ring_states(m, (0.0, 0.01, 0.1, 1.0, 5.0)),
+                            reduced_state(star_spectrum(params)[None], params, [0.0])[0]])
+    fresh = []
+    for state in stack:
+        monkeypatch.setattr(entanglement, "_last_cut", None)
+        fresh.append(negativity(state, (0,)))
+    calls = recorded_spectra(monkeypatch)
+    assert entanglement.keep_ring_states(stack) is stack
+    # one _spectra call per layout stack, each holding every state
+    assert calls == [shape for shape in cut_zero_shapes(m) for _ in stack]
+    calls.clear()
+    kept = [[negativity(state, (k,)) for k in range(m)] for state in stack]
+    assert calls == []
+    assert [bits(values) for values in kept] == [bits([value] * m) for value in fresh]
+
+
+def test_a_stack_keeps_every_state_but_the_invalid_ones(monkeypatch):
+    m = 3
+    stack = ring_states(m, (0.0, 0.01, 0.1, 1.0, 5.0)).copy()
+    base, rank = operators.packed_positions(m)
+    single = np.flatnonzero(operators.excitations(m) == 1)
+    stack[1, base[single] + rank[single]] = np.nan  # still ring invariant; eigvalsh of it fails
+    stack[3] *= 1.1  # ring invariant, of trace 1.1
+    fresh, errors = [], {}
+    for i, state in enumerate(stack):
+        monkeypatch.setattr(entanglement, "_last_cut", None)
+        try:
+            fresh.append(negativity(state, (0,)))
+        except NumericalInvariantError as exc:
+            errors[i] = str(exc)
+    assert sorted(errors) == [1, 3] and errors[3] == "trace 1.1 is not 1; input is not a valid state"
+    calls = recorded_spectra(monkeypatch)
+    entanglement.keep_ring_states(stack)
+    calls.clear()
+    good = [stack[i] for i in (0, 2, 4)]
+    assert bits([negativity(state, (k,)) for state in good for k in range(m)]) == bits(np.repeat(fresh, m))
+    assert calls == []
+    # a bad state's own call solves it, and raises as a call with nothing kept does
+    for i, message in errors.items():
+        with pytest.raises(NumericalInvariantError) as raised:
+            negativity(stack[i], (1,))
+        assert str(raised.value) == message
+    assert calls == cut_zero_shapes(m) * 2
+
+
+@pytest.mark.parametrize("m", [3, 4, 8])
+def test_a_state_off_the_ring_symmetry_in_a_stack_solves_every_cut(m, monkeypatch):
+    rho = off_the_ring(m)
+    packed = rho.take(operators.packed_entries(m))
+    stack = np.stack([ring_states(m, [0.1])[0], packed, ring_states(m, [1.0])[0]])
+    calls = recorded_spectra(monkeypatch)
+    entanglement.keep_ring_states(stack)
+    assert calls == [shape for shape in cut_zero_shapes(m) for _ in range(2)]  # the two ring states
+    calls.clear()
+    per_cut = multipartite_negativity(stack[1]).per_cut
+    assert calls == cut_zero_shapes(m) * m
+    assert_cuts_match_the_brute_transpose(rho, per_cut)
+    calls.clear()
+    multipartite_negativity(stack[0])  # the ring states' values outlive the off-ring state's solves
+    multipartite_negativity(stack[2])
+    assert calls == []
 
 
 @pytest.mark.parametrize("m", range(2, 12))
@@ -460,3 +550,26 @@ def test_threads_sharing_the_last_cut_get_fresh_values(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert len(results) == 4000 and all(results)
+
+
+def test_a_ring_state_the_reflection_does_not_fix_is_solved_whole_on_its_own(monkeypatch):
+    # m=8: a ring state with more weight on a chiral orbit (spins 0, 1 and 3 up, turned around the ring)
+    # than on its mirror fails _spectra's reflection test beside a state that passes it
+    m = 8
+    good = ring_states(m, [0.1])[0]
+    orbit = operators.ring_turns(np.array([0b11010000]), m)[:, 0]
+    base, rank = operators.packed_positions(m)
+    chiral = good.copy()
+    chiral[base[orbit] + rank[orbit]] += 1e-3
+    chiral /= 1 + 8e-3  # each entry divided alike: still ring invariant, bit for bit
+    assert entanglement._ring(chiral[None])[0]
+    monkeypatch.setattr(entanglement, "_last_cut", None)
+    fresh = [negativity(good, (0,))]
+    calls = recorded_spectra(monkeypatch)
+    entanglement.keep_ring_states(np.stack([good, chiral]))
+    calls.clear()
+    assert bits([negativity(good, (k,)) for k in range(m)]) == bits(fresh * m) and calls == []
+    per_cut = multipartite_negativity(chiral).per_cut
+    shapes = cut_zero_shapes(m)
+    assert calls == shapes  # solved once, on its own, with its split block whole
+    assert_cuts_match_the_brute_transpose(unpack(chiral), per_cut)

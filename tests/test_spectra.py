@@ -7,10 +7,11 @@ from spinstar import (
     analytic_spectrum_m3,
     ground_manifold,
 )
-from spinstar.operators import build_hamiltonian
+from spinstar.operators import MAX_M, build_hamiltonian
 from spinstar.spectra import spectrum_blocked
+from spinstar.thermal import star_spectrum
 
-from oracles import eigh, random_unitary
+from oracles import eigh, free_fermion_spectrum, random_unitary
 
 
 def star(m, omega, eps, eta):
@@ -213,3 +214,16 @@ def test_spectrum_invariant_under_global_unitary_sanity():
     u = random_unitary(rng, 8)
     rotated = u @ mat @ u.conj().T
     assert np.max(np.abs(eigh(mat).eigenvalues - eigh(rotated).eigenvalues)) < 1e-10
+
+
+@pytest.mark.parametrize("eta", [0.7, 1.9])
+@pytest.mark.parametrize("m", range(2, MAX_M + 1))
+def test_spectrum_at_zero_epsilon_is_the_free_fermion_ring(m, eta):
+    # epsilon = 0: the centre decouples and the XX ring is free fermions (oracles.free_fermion_spectrum);
+    # at these eta the ground level is one- or two-fold and the next level sits >= 2e-3 above it
+    spec = star_spectrum(SpinStarParams(m=m, omega=1.0, epsilon=0.0, eta=eta))
+    closed = free_fermion_spectrum(m, 1.0, eta)
+    assert np.max(np.abs(np.sort(spec.eigenvalues) - closed)) <= 1e-12
+    manifold = ground_manifold(spec)
+    assert abs(manifold.energy - closed[0]) <= 1e-12
+    assert manifold.degeneracy == np.count_nonzero(closed - closed[0] <= 1e-9)

@@ -142,6 +142,25 @@ def test_output_does_not_depend_on_the_stack_budget(monkeypatch, m, temps, defau
                in zip(columns["degenerate_cell"], columns["epsilon"], columns["eta"])) == (m % 2 == 1)
 
 
+def test_an_m3_sweep_solves_cut_zero_once_per_gibbs_call(monkeypatch):
+    # the paper's 41 x 41 map at four temperatures: each _spectra call holds a whole Gibbs call's states,
+    # and every per-cut call of evaluate_cell is a lookup
+    from spinstar import entanglement
+
+    grid = SweepGrid(m=3, omega=1.0, epsilon_axis=(0.0, 10.0, 41), eta_axis=(0.0, 10.0, 41),
+                     temperatures=(0.01, 0.1, 1.0, 5.0))
+    shapes, states = [], []
+    solve, gibbs = entanglement._spectra, sweep.reduced_state
+    monkeypatch.setattr(entanglement, "_spectra", lambda blocks, split: shapes.append(blocks.shape[:2]) or
+                        solve(blocks, split))
+    monkeypatch.setattr(sweep, "reduced_state", lambda *args: states.append(len(args[0]) * len(args[2])) or
+                        gibbs(*args))
+    sweep_records(grid)
+    layout = [shape for _, shape, _ in entanglement._cut(3, entanglement.SYMMETRY_MIN_DIM, 0)[3]]
+    assert len(states) == 7 and sum(states) == 41 * 41 * 4
+    assert shapes == [(count, shape[0]) for count in states for shape in layout]
+
+
 def test_a_sweep_holds_at_most_a_few_budgets_over_one_lone_cell(monkeypatch):
     # tracemalloc's peak of an m=8 sweep of 16 cells at two temperatures: the stack's spectra, the
     # last stack's still read by its last cell, and one Gibbs call each fit MAX_STACK_BYTES, on top
