@@ -16,7 +16,7 @@ import numpy as np
 from .entanglement import NumericalInvariantError
 from .operators import SpinStarParams
 from .spectra import analytic_ground_state_m3, analytic_spectrum_m3, ground_manifold
-from .sweep import SweepGrid, evaluate_point, format_float, open_output, sweep_records, write_records
+from .sweep import SweepGrid, evaluate_point, format_field, open_output, sweep_records, write_records
 from .thermal import star_spectrum
 
 
@@ -68,7 +68,7 @@ def cmd_spectrum(args: argparse.Namespace) -> dict[str, list]:
     columns = {"index": list(range(len(labels))), "eigenvalue": values.tolist(), "sector": labels}
     if analytic is not None:
         columns.update(analytic=analytic.tolist(), abs_dev=deviation.tolist())
-        print(f"max_abs_deviation={format_float(max_deviation)}", file=sys.stderr)
+        print(f"max_abs_deviation={format_field(max_deviation)}", file=sys.stderr)
     return columns
 
 

@@ -76,14 +76,14 @@ def _state(rho: np.ndarray) -> tuple[np.ndarray, int]:
     return (packed if np.count_nonzero(packed) == np.count_nonzero(rho) else rho), n_qubits
 
 
-@lru_cache(maxsize=64, typed=True)
-def _cut(n_qubits: int, min_dim: int, *part_a):
-    """(part, index, diagonal, layout) of the cut part_a of a packed state (operators.packed_positions).
+@lru_cache(maxsize=64)
+def _cut(n_qubits: int, min_dim: int, *part):
+    """(index, layout) of the cut part, sorted distinct int spins (operators.qubit_subset), of a packed state.
 
     Where rho conserves the excitation number, its partial transpose over part conserves the charge
     q = popcount(rest bits) - popcount(part bits) = popcount(i) - 2*popcount(i & mask), and its charge
-    blocks hold each packed entry once: index gathers them all, row-major, one block after the other.
-    diagonal gathers rho's diagonal in basis-index order.  layout holds, per stack of equal blocks, its
+    blocks hold each packed entry once: index gathers them all, row-major, one block after the other, so
+    their diagonals hold rho's diagonal, each entry once.  layout holds, per stack of equal blocks, its
     slice of the gathered values, its (count, size, size) shape and its split.  The blocks are laid out
     one charge at a time, each filed under its (size, split), so stacks come in the order of their first
     charge and blocks in charge order.  The ring reflection j -> -j (mod n_qubits) (operators.ring_mirror)
@@ -92,13 +92,8 @@ def _cut(n_qubits: int, min_dim: int, *part_a):
     fixed points), and any other block ascending, with split None.  The cut (p,) takes those rows, in that
     order, turned p times around the ring (operators.ring_turns), with the same layout: the reflection
     through spin p pairs them alike, and a state invariant under the ring rotation gathers the same
-    values, bit for bit, at every one-spin cut.  Any other cut's blocks are ascending and whole.  Any
-    other spelling of a cut (unsorted, repeated, numpy or bool spins) is looked up as its sorted int
-    tuple and shares that entry's arrays; typed stops a float index from hitting a cached int's entry.
+    values, bit for bit, at every one-spin cut.  Any other cut's blocks are ascending and whole.
     """
-    part = qubit_subset(part_a, n_qubits)
-    if part != part_a or any(type(q) is not int for q in part_a):
-        return _cut(n_qubits, min_dim, *part)
     if len(part) == n_qubits:
         raise ValueError("part_a must be a proper subset of the qubits")
     turn = part[0] if len(part) == 1 else 0  # the cut (p,) is the cut (0,) turned p times
@@ -128,10 +123,9 @@ def _cut(n_qubits: int, min_dim: int, *part_a):
             pieces.append((base.take(both).T[:, inverse] + rank.take(both)[inverse]).ravel())
         layout.append((slice(done, done + len(blocks) * size * size), (len(blocks), size, size), split))
         done += len(blocks) * size * size
-    index, diagonal = np.concatenate(pieces), base + rank
-    for array in (index, diagonal):
-        array.setflags(write=False)
-    return part, index, diagonal, tuple(layout)
+    index = np.concatenate(pieces)
+    index.setflags(write=False)
+    return index, tuple(layout)
 
 
 @lru_cache(maxsize=16)
@@ -187,16 +181,17 @@ def _spectra(blocks, split) -> list:
     return [np.linalg.eigvalsh(blocks) if blocks.shape[-1] > 1 else blocks.real]
 
 
-def _solve(states, index, diagonal, layout):
+def _solve(states, index, layout):
     """(raw, traces) of each state of a (states, C(2n, n)) stack at a cut (see _cut): its sum of |eigenvalues|
-    of the partial transpose minus one, and sum() of its diagonal; one _spectra call per layout stack."""
-    raw = np.zeros(len(states))
+    of the partial transpose minus one, and of its blocks' diagonals; one _spectra call per layout stack."""
+    raw, traces = np.zeros(len(states)), np.zeros(len(states))
     for span, shape, split in layout:
         blocks = _gather(states, index[span]).reshape(len(states), *shape)
+        # C order: each state's values contiguous, summed pairwise as for a stack of it alone
+        traces += np.add.reduce(blocks.diagonal(axis1=2, axis2=3).reshape(len(states), -1).real, axis=1)
         for values in _spectra(blocks, split):
-            # C order: each state's values contiguous, summed pairwise as for a stack of it alone
             raw += np.add.reduce(np.abs(values, order="C"), axis=tuple(range(1, values.ndim)))
-    return (raw - 1.0).tolist(), list(map(sum, states[:, diagonal].real.tolist()))
+    return (raw - 1.0).tolist(), traces.tolist()
 
 
 def keep_ring_states(states: np.ndarray) -> np.ndarray:
@@ -208,7 +203,7 @@ def keep_ring_states(states: np.ndarray) -> np.ndarray:
     ring = _ring(flat) & np.isfinite(flat).all(axis=1)
     flat = flat if ring.all() else flat[ring]
     try:
-        raw, traces = _solve(flat, *_cut(packed_qubits(flat.shape[-1:]), SYMMETRY_MIN_DIM, 0)[1:])
+        raw, traces = _solve(flat, *_cut(packed_qubits(flat.shape[-1:]), SYMMETRY_MIN_DIM, 0))
     except np.linalg.LinAlgError:
         return states
     _last_cut = ((SYMMETRY_MIN_DIM, REFLECTION_TOL), {
@@ -239,13 +234,14 @@ def negativity(rho: np.ndarray, part_a) -> float:
             and last[0] == (SYMMETRY_MIN_DIM, REFLECTION_TOL)
             and (kept := last[1].get(rho[:_HEAD].tobytes())) and rho[_HEAD:].tobytes() == kept[0]):
         return kept[1]
-    part, index, diagonal, layout = _cut(n_qubits, SYMMETRY_MIN_DIM, *part_a)
+    part = qubit_subset(part_a, n_qubits)
+    index, layout = _cut(n_qubits, SYMMETRY_MIN_DIM, *part)
     try:
         if rho.ndim == 2:  # a dense matrix with an entry off its excitation blocks
             raw = float(np.abs(np.linalg.eigvalsh(partial_transpose(rho, part))).sum() - 1.0)
             trace = sum(rho.diagonal().real.tolist())  # the eigenvalues' sum, in basis-index order
         else:
-            [raw], [trace] = _solve(rho[None], index, diagonal, layout)
+            [raw], [trace] = _solve(rho[None], index, layout)
     except np.linalg.LinAlgError as exc:  # eigvalsh may not converge on a NaN or inf entry
         raise NumericalInvariantError(f"partial transpose: {exc}; input is not a valid state") from exc
     if not raw >= NEGATIVITY_FLOOR:  # NaN fails too

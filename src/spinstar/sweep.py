@@ -133,18 +133,13 @@ def sweep_records(grid: SweepGrid) -> dict[str, list]:
     return columns
 
 
-def format_float(value: float) -> str:
-    """12 significant digits; normalizes negative zero for stable diffs."""
-    return f"{float(value) + 0.0:.12g}"
-
-
 def format_field(value) -> str:
-    """One CSV field: None is empty, a bool is true/false, a number goes through format_float."""
+    """One CSV field: None is empty, a bool is true/false, a number has 12 significant digits (no -0)."""
     if value is None:
         return ""
     if value is True or value is False:
         return "true" if value else "false"
-    return format_float(value)
+    return f"{float(value) + 0.0:.12g}"
 
 
 def write_records(columns: dict, stream, fmt: str = "csv") -> None:

@@ -7,6 +7,8 @@ The one exception is eigh, the dense full-space spectrum that the sector
 route is compared against.
 """
 
+import math
+
 import numpy as np
 
 from spinstar.spectra import SpectralDecomposition, stacked_spectra
@@ -179,8 +181,33 @@ def free_fermion_spectrum(m, omega, eta):
     2 eta cos(2 pi (q + phi)/m), q = 0..m-1, phi = 0 for odd N and 1/2 for even N, and an N-fermion
     level sums N distinct modes.  At m=2 the one bond, counted both ways, gives +-2 eta.
     """
+    count, ring = free_fermion_ring(m, eta)
+    return np.sort(np.concatenate([omega * (centre + count - (m + 1) / 2) + ring for centre in (0, 1)]))
+
+
+def free_fermion_ring(m, eta):
+    """(fermion number, XX energy) of each of the ring's 2^m occupation sets (see free_fermion_spectrum)."""
     occupied = np.arange(2 ** m)[:, None] >> np.arange(m) & 1
     count = occupied.sum(axis=1)
     phi = np.where(count % 2 == 1, 0.0, 0.5)[:, None]
-    ring = (occupied * 2 * eta * np.cos(2 * np.pi * (np.arange(m) + phi) / m)).sum(axis=1)
-    return np.sort(np.concatenate([omega * (centre + count - (m + 1) / 2) + ring for centre in (0, 1)]))
+    return count, (occupied * 2 * eta * np.cos(2 * np.pi * (np.arange(m) + phi) / m)).sum(axis=1)
+
+
+def collective_spin_spectrum(m, omega, eps):
+    """Closed-form spectrum of the star at eta = 0, ascending, for the tests at every m.
+
+    The ring enters only through its collective spin J (Hutton & Bose, Phys. Rev. A 69, 042312 (2004)):
+    H = omega (s_z + J_z) + eps (s+ J- + s- J+).  Total ring spin j comes C(m, m/2 - j) - C(m, m/2 - j - 1)
+    times.  Each copy pairs |down, M> with |up, M - 1>, M = -j+1..j, both at omega (M - 1/2), into a 2x2
+    block of coupling eps sqrt((j + M)(j - M + 1)); |down, -j> and |up, j> stay alone at -+omega (j + 1/2).
+    """
+    levels = []
+    for k in range(m // 2 + 1):  # j = m/2 - k
+        j = m / 2 - k
+        copies = math.comb(m, k) - (math.comb(m, k - 1) if k else 0)
+        spins = np.arange(-j + 1, j + 1)
+        split = eps * np.sqrt((j + spins) * (j - spins + 1))
+        multiplet = np.concatenate([omega * np.array([-j - 0.5, j + 0.5]),
+                                    omega * (spins - 0.5) - split, omega * (spins - 0.5) + split])
+        levels += [multiplet] * copies
+    return np.sort(np.concatenate(levels))

@@ -282,8 +282,8 @@ def test_negativity_charge_block_check_is_exact(monkeypatch):
     check(rho, 3, dense=True)
 
 
-# sha256 (first 16 hex digits) of cut 0's index, diagonal and layout at m=2..11: the index it had when
-# every one-spin cut laid out its own rows, mirrored through its own spin
+# sha256 (first 16 hex digits) of cut 0's index, the packed positions of the diagonal and cut 0's layout at
+# m=2..11: the index it had when every one-spin cut laid out its own rows, mirrored through its own spin
 CUT_DIGESTS = {2: "a6861b2ca1bf2e6a", 3: "cfe65378394713d4", 4: "50e8cf2034613dee", 5: "d7132578d11c92d5",
                6: "7de2c19a67ff27c6", 7: "9930de5e8dad0c2a", 8: "a517746c02b228b0", 9: "bc2aa7d87d8da878",
                10: "15f101a252802e30", 11: "4cb75d32dd19ed7b"}
@@ -292,14 +292,15 @@ CUT_DIGESTS = {2: "a6861b2ca1bf2e6a", 3: "cfe65378394713d4", 4: "50e8cf2034613de
 @pytest.mark.parametrize("m", range(2, 12))
 def test_one_spin_cut_index_is_unchanged(m):
     entries = operators.packed_entries(m)
-    _, index, diagonal, layout = entanglement._cut(m, entanglement.SYMMETRY_MIN_DIM, 0)
+    index, layout = entanglement._cut(m, entanglement.SYMMETRY_MIN_DIM, 0)
+    diagonal = np.add(*(array.astype(np.int32) for array in operators.packed_positions(m)))
     digest = hashlib.sha256(index.tobytes() + diagonal.tobytes() + repr(layout).encode())
     assert digest.hexdigest()[:16] == CUT_DIGESTS[m]
     # cut k gathers cut 0's (row, col) pairs turned k times around the ring, in cut 0's layout
     first, turns = np.divmod(entries[index], 2 ** m), operators.ring_turns(np.arange(2 ** m), m)
     for k in range(m):
-        part, index, _, cut_layout = entanglement._cut(m, entanglement.SYMMETRY_MIN_DIM, k)
-        assert part == (k,) and cut_layout == layout
+        index, cut_layout = entanglement._cut(m, entanglement.SYMMETRY_MIN_DIM, k)
+        assert cut_layout == layout
         pairs = np.divmod(entries[index], 2 ** m)
         assert np.array_equal(pairs[0], turns[k][first[0]]) and np.array_equal(pairs[1], turns[k][first[1]])
         # each gathered block entry (r, c) is rho's <rest_r own_c| . |rest_c own_r>
@@ -313,14 +314,18 @@ def test_one_spin_cut_index_is_unchanged(m):
             assert np.array_equal(cols, turned & ~mask | states & mask)
 
 
-def test_each_spelling_of_a_cut_shares_one_index():
+def test_each_spelling_of_a_cut_shares_one_index(monkeypatch):
+    # negativity validates each spelling into one sorted int tuple, so each cut builds one _cut entry
     rho = reduced_thermal_state(SpinStarParams(m=5, omega=1.0, epsilon=1.3, eta=0.7), 0.1)
     for spellings in ([(0,), (np.int64(0),), np.array([0])], [(1,), (True,)], [(0, 1), (1, 0)]):
-        cuts = [entanglement._cut(5, entanglement.SYMMETRY_MIN_DIM, *spins) for spins in spellings]
-        assert all(cut[1] is cuts[0][1] for cut in cuts)
-        assert len({negativity(rho, spins) for spins in spellings}) == 1
+        entanglement._cut.cache_clear()
+        values = set()
+        for spins in spellings:
+            monkeypatch.setattr(entanglement, "_last_cut", None)  # every call reaches _cut
+            values.add(negativity(rho, spins))
+        assert len(values) == 1 and entanglement._cut.cache_info().currsize == 1
     with pytest.raises(ValueError):
-        entanglement._cut(5, entanglement.SYMMETRY_MIN_DIM, 0.0)
+        negativity(rho, (0.0,))
 
 
 def ring_states(m, temperatures=(0.0, 0.01, 1.0)):
@@ -345,7 +350,7 @@ def recorded_spectra(monkeypatch):
 @pytest.mark.parametrize("m", range(2, 12))
 def test_one_spin_cuts_of_a_ring_state_are_bit_identical(m):
     for packed in ring_states(m):
-        gathers = [packed[entanglement._cut(m, entanglement.SYMMETRY_MIN_DIM, k)[1]] for k in range(m)]
+        gathers = [packed[entanglement._cut(m, entanglement.SYMMETRY_MIN_DIM, k)[0]] for k in range(m)]
         assert all(np.array_equal(gather.view(np.int64), gathers[0].view(np.int64)) for gather in gathers)
         per_cut = multipartite_negativity(packed).per_cut
         assert per_cut == (per_cut[0],) * m
@@ -361,7 +366,7 @@ def test_equal_cuts_give_their_value_as_the_mean(m):
 @pytest.mark.parametrize("m", [3, 8, 9])
 def test_one_cut_is_solved_per_ring_state(m, monkeypatch):
     calls = recorded_spectra(monkeypatch)
-    layout = entanglement._cut(m, entanglement.SYMMETRY_MIN_DIM, 0)[3]
+    layout = entanglement._cut(m, entanglement.SYMMETRY_MIN_DIM, 0)[1]
     states = ring_states(m)
     for packed in states:
         multipartite_negativity(packed)
@@ -387,25 +392,29 @@ def test_a_state_off_the_ring_symmetry_solves_every_cut(m, monkeypatch):
     calls = recorded_spectra(monkeypatch)
     rho = off_the_ring(m)
     per_cut = multipartite_negativity(rho).per_cut
-    layout = entanglement._cut(m, entanglement.SYMMETRY_MIN_DIM, 0)[3]
+    layout = entanglement._cut(m, entanglement.SYMMETRY_MIN_DIM, 0)[1]
     assert calls == [shape for _, shape, _ in layout] * m
     assert_cuts_match_the_brute_transpose(rho, per_cut)
 
 
 def cut_zero_shapes(m):
-    return [shape for _, shape, _ in entanglement._cut(m, entanglement.SYMMETRY_MIN_DIM, 0)[3]]
+    return [shape for _, shape, _ in entanglement._cut(m, entanglement.SYMMETRY_MIN_DIM, 0)[1]]
 
 
 def bits(values):
     return np.array(values, dtype=float).view(np.int64).tolist()
 
 
+def five_temperatures_and_the_crossing(m):
+    """Ring states at five temperatures and at the epsilon = eta = 1 crossing at t = 0, degenerate at odd m."""
+    params = SpinStarParams(m=m, omega=1.0, epsilon=1.0, eta=1.0)
+    return np.concatenate([ring_states(m, (0.0, 0.01, 0.1, 1.0, 5.0)),
+                           reduced_state(star_spectrum(params)[None], params, [0.0])[0]])
+
+
 @pytest.mark.parametrize("m", range(2, 12))
 def test_a_stack_keeps_each_ring_states_fresh_value(m, monkeypatch):
-    # five temperatures and the epsilon = eta = 1 crossing at t = 0, degenerate at odd m
-    params = SpinStarParams(m=m, omega=1.0, epsilon=1.0, eta=1.0)
-    stack = np.concatenate([ring_states(m, (0.0, 0.01, 0.1, 1.0, 5.0)),
-                            reduced_state(star_spectrum(params)[None], params, [0.0])[0]])
+    stack = five_temperatures_and_the_crossing(m)
     fresh = []
     for state in stack:
         monkeypatch.setattr(entanglement, "_last_cut", None)
@@ -418,6 +427,41 @@ def test_a_stack_keeps_each_ring_states_fresh_value(m, monkeypatch):
     kept = [[negativity(state, (k,)) for k in range(m)] for state in stack]
     assert calls == []
     assert [bits(values) for values in kept] == [bits([value] * m) for value in fresh]
+
+
+@pytest.mark.parametrize("m", range(2, 12))
+def test_each_trace_is_read_from_the_gathered_blocks(m):
+    # a partial transpose keeps rho's diagonal in place and the charge blocks partition the basis: each
+    # state's trace is the same alone or in a stack, and near the basis-order sum of its diagonal
+    stack = five_temperatures_and_the_crossing(m)
+    in_order = [sum(state[np.add(*operators.packed_positions(m))].tolist()) for state in stack]
+    for part in [(0,), (0, 1)][:m - 1]:
+        index, layout = entanglement._cut(m, entanglement.SYMMETRY_MIN_DIM, *part)
+        _, traces = entanglement._solve(stack, index, layout)
+        assert bits(traces) == bits([entanglement._solve(state[None], index, layout)[1][0] for state in stack])
+        assert np.max(np.abs(np.subtract(traces, in_order))) <= 2 ** m * np.finfo(float).eps
+
+
+def test_a_state_of_trace_1_1_in_a_split_stack_keeps_nothing_of_its_own(monkeypatch):
+    # m=9: cut 0's 84- and 126-state blocks are split; the other states keep their fresh values
+    m = 9
+    assert any(split for _, _, split in entanglement._cut(m, entanglement.SYMMETRY_MIN_DIM, 0)[1])
+    stack = five_temperatures_and_the_crossing(m)
+    fresh = []
+    for state in stack:
+        monkeypatch.setattr(entanglement, "_last_cut", None)
+        fresh.append(negativity(state, (0,)))
+    stack[2] *= 1.1  # ring invariant, of trace 1.1
+    calls = recorded_spectra(monkeypatch)
+    entanglement.keep_ring_states(stack)
+    calls.clear()
+    others = [i for i in range(len(stack)) if i != 2]
+    kept = [negativity(stack[i], (k,)) for i in others for k in range(m)]
+    assert bits(kept) == bits(np.repeat([fresh[i] for i in others], m)) and calls == []
+    for part in ((1,), (0, 1)):
+        with pytest.raises(NumericalInvariantError) as raised:
+            negativity(stack[2], part)
+        assert str(raised.value) == "trace 1.1 is not 1; input is not a valid state"
 
 
 def test_a_stack_keeps_every_state_but_the_invalid_ones(monkeypatch):
@@ -486,7 +530,7 @@ def test_a_ring_state_builds_only_cut_zeros_index(m, monkeypatch):
 def test_the_state_kept_is_a_copy_of_its_bits(monkeypatch):
     m = 5
     calls = recorded_spectra(monkeypatch)
-    layout = [shape for _, shape, _ in entanglement._cut(m, entanglement.SYMMETRY_MIN_DIM, 0)[3]]
+    layout = [shape for _, shape, _ in entanglement._cut(m, entanglement.SYMMETRY_MIN_DIM, 0)[1]]
     packed = ring_states(m, [0.1])[0].copy()
     negativity(packed, (0,))
     calls.clear()
@@ -501,7 +545,7 @@ def test_the_state_kept_is_a_copy_of_its_bits(monkeypatch):
     w = np.zeros(2 ** 4)
     w[[1, 2, 4, 8]] = 0.5
     rho = np.eye(2 ** 4) / 32 + np.outer(w, w) / 2  # entries exact in float32, trace exactly 1
-    layout = [shape for _, shape, _ in entanglement._cut(4, entanglement.SYMMETRY_MIN_DIM, 0)[3]]
+    layout = [shape for _, shape, _ in entanglement._cut(4, entanglement.SYMMETRY_MIN_DIM, 0)[1]]
     for dtype, solved in ((np.float32, 4), (np.float64, 1)):
         calls.clear()
         monkeypatch.setattr(entanglement, "_last_cut", None)

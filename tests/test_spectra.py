@@ -11,7 +11,7 @@ from spinstar.operators import MAX_M, build_hamiltonian
 from spinstar.spectra import spectrum_blocked
 from spinstar.thermal import star_spectrum
 
-from oracles import eigh, free_fermion_spectrum, random_unitary
+from oracles import collective_spin_spectrum, eigh, free_fermion_spectrum, random_unitary
 
 
 def star(m, omega, eps, eta):
@@ -223,6 +223,19 @@ def test_spectrum_at_zero_epsilon_is_the_free_fermion_ring(m, eta):
     # at these eta the ground level is one- or two-fold and the next level sits >= 2e-3 above it
     spec = star_spectrum(SpinStarParams(m=m, omega=1.0, epsilon=0.0, eta=eta))
     closed = free_fermion_spectrum(m, 1.0, eta)
+    assert np.max(np.abs(np.sort(spec.eigenvalues) - closed)) <= 1e-12
+    manifold = ground_manifold(spec)
+    assert abs(manifold.energy - closed[0]) <= 1e-12
+    assert manifold.degeneracy == np.count_nonzero(closed - closed[0] <= 1e-9)
+
+
+@pytest.mark.parametrize("epsilon", [0.7, 1.9])
+@pytest.mark.parametrize("m", range(2, MAX_M + 1))
+def test_spectrum_at_zero_eta_is_the_collective_spin(m, epsilon):
+    # eta = 0: the ring enters only through its collective spin (oracles.collective_spin_spectrum); at these
+    # epsilon the ground level is one-fold and the next level sits >= 1e-2 above it
+    spec = star_spectrum(SpinStarParams(m=m, omega=1.0, epsilon=epsilon, eta=0.0))
+    closed = collective_spin_spectrum(m, 1.0, epsilon)
     assert np.max(np.abs(np.sort(spec.eigenvalues) - closed)) <= 1e-12
     manifold = ground_manifold(spec)
     assert abs(manifold.energy - closed[0]) <= 1e-12

@@ -156,7 +156,7 @@ def test_an_m3_sweep_solves_cut_zero_once_per_gibbs_call(monkeypatch):
     monkeypatch.setattr(sweep, "reduced_state", lambda *args: states.append(len(args[0]) * len(args[2])) or
                         gibbs(*args))
     sweep_records(grid)
-    layout = [shape for _, shape, _ in entanglement._cut(3, entanglement.SYMMETRY_MIN_DIM, 0)[3]]
+    layout = [shape for _, shape, _ in entanglement._cut(3, entanglement.SYMMETRY_MIN_DIM, 0)[1]]
     assert len(states) == 7 and sum(states) == 41 * 41 * 4
     assert shapes == [(count, shape[0]) for count in states for shape in layout]
 
@@ -232,12 +232,15 @@ def test_write_records_rejects_unknown_format():
 
 
 def test_float_formatting_is_stable():
-    from spinstar.sweep import format_float
+    from spinstar.sweep import format_field
 
-    assert format_float(-0.0) == "0"
-    assert format_float(0.1) == "0.1"
-    assert format_float(1e-17) == "1e-17"
-    assert len(format_float(np.pi).replace(".", "").replace("-", "")) <= 12
+    assert format_field(-0.0) == "0"
+    assert format_field(0.1) == "0.1"
+    assert format_field(1e-17) == "1e-17"
+    assert len(format_field(np.pi).replace(".", "").replace("-", "")) <= 12
+    assert format_field(np.float64(-0.0)) == format_field(0) == "0" and format_field(3) == "3"
+    assert format_field(None) == ""
+    assert (format_field(True), format_field(False)) == ("true", "false")
 
 
 def test_negativity_vs_eta_dips_then_plateaus():

@@ -12,7 +12,7 @@ from spinstar import (
     star_spectrum,
 )
 from spinstar import thermal
-from spinstar.operators import build_hamiltonian, symmetry_hamiltonians
+from spinstar.operators import MAX_M, build_hamiltonian, excitations, packed_positions, symmetry_hamiltonians
 from spinstar.spectra import spectrum_blocked, stacked_spectra
 from spinstar.thermal import gibbs_state_from_spectrum, partial_trace, reduced_state, zero_temperature_state
 
@@ -21,6 +21,7 @@ from oracles import (
     brute_partial_trace,
     dm,
     eigh,
+    free_fermion_ring,
     qubit_permutation_matrix,
     random_density,
 )
@@ -303,3 +304,37 @@ def test_boltzmann_weights_are_formed_in_one_array():
 def test_reduced_rejects_negative_temperature():
     with pytest.raises(ValueError):
         reduced_thermal_state(SpinStarParams(m=3, omega=1.0, epsilon=1.0, eta=1.0), -0.01)
+
+
+@pytest.mark.parametrize("m", range(4, 10))
+def test_a_collective_ring_state_is_invariant_under_swapping_two_spins(m):
+    # eta = 0: H sees the ring only through its collective spin (oracles.collective_spin_spectrum), so the
+    # reduced state commutes with every permutation of the ring; swapping spins 0 and 1 lies outside the
+    # ring's dihedral group from m=4 on, and at eta = 0.7 it moves the state at t > 0
+    index = np.arange(2 ** m)
+    swapped = index ^ ((index >> (m - 1) ^ index >> (m - 2)) & 1) * (3 << (m - 2))  # bits of spins 0, 1
+    for eta in (0.0, 0.7):
+        params = SpinStarParams(m=m, omega=1.0, epsilon=1.3, eta=eta)
+        states = thermal.unpack(reduced_state(star_spectrum(params)[None], params, [0.0, 0.1, 1.0])[0])
+        moved = [np.max(np.abs(rho[swapped][:, swapped] - rho)) for rho in states]
+        if eta == 0.0:
+            assert max(moved) <= 1e-12
+        else:
+            assert min(moved[1:]) > 1e-3
+
+
+@pytest.mark.parametrize("eta", [0.7, 1.9])
+@pytest.mark.parametrize("m", range(2, MAX_M + 1))
+def test_each_excitation_block_carries_its_free_fermion_weight(m, eta):
+    # epsilon = 0: the centre decouples, so the reduced state is the ring's Gibbs state, and its block of
+    # j excitations holds the Boltzmann weight of the ring's j-fermion levels (oracles.free_fermion_ring)
+    params = SpinStarParams(m=m, omega=1.0, epsilon=0.0, eta=eta)
+    temperatures = [0.1, 1.0, 5.0]
+    states = reduced_state(star_spectrum(params)[None], params, temperatures)[0]
+    base, rank = packed_positions(m)
+    count, ring = free_fermion_ring(m, eta)
+    energies = count - m / 2 + ring  # omega (N - m/2) plus the XX energy, omega = 1
+    for t, packed in zip(temperatures, states):
+        weights = np.exp(-(energies - energies.min()) / t)
+        traces = np.bincount(excitations(m), packed[base + rank])
+        assert np.max(np.abs(traces - np.bincount(count, weights) / weights.sum())) <= 1e-12
