@@ -32,10 +32,12 @@ REFLECTION_TOL = 1e-12
 SYMMETRY_MIN_DIM = 60
 
 
-# negativity's ring states: ((SYMMETRY_MIN_DIM, REFLECTION_TOL), {first _HEAD entries' bytes: (the rest's
-# bytes, one-spin negativity)}); keyed by a head, so that a hit does not hash a whole state
+# negativity's ring states: ((SYMMETRY_MIN_DIM, REFLECTION_TOL), n, tails, {bytes of a kept state's first _HEAD
+# entries: (its row in tails, its one-spin negativity)}), tails the int64 rest, a row per state (None to n=5, 252
+# entries).  A hit copies no state: it takes 5 us at n=6 (1.5 with a copy) and 0.56 ms at n=11 (0.97 with one).
 _last_cut = None
-_HEAD = 64
+_HEAD = 256
+_FLOAT64 = np.dtype(np.float64)  # a hit's dtype check: 3x faster than against the scalar type
 
 
 class NumericalInvariantError(RuntimeError):
@@ -182,7 +184,7 @@ def _spectra(blocks, split) -> list:
 
 
 def _solve(states, index, layout):
-    """(raw, traces) of each state of a (states, C(2n, n)) stack at a cut (see _cut): its sum of |eigenvalues|
+    """(raw, traces), arrays over a (states, C(2n, n)) stack at a cut (see _cut): each state's sum of |eigenvalues|
     of the partial transpose minus one, and of its blocks' diagonals; one _spectra call per layout stack."""
     raw, traces = np.zeros(len(states)), np.zeros(len(states))
     for span, shape, split in layout:
@@ -191,57 +193,65 @@ def _solve(states, index, layout):
         traces += np.add.reduce(blocks.diagonal(axis1=2, axis2=3).reshape(len(states), -1).real, axis=1)
         for values in _spectra(blocks, split):
             raw += np.add.reduce(np.abs(values, order="C"), axis=tuple(range(1, values.ndim)))
-    return (raw - 1.0).tolist(), traces.tolist()
+    return raw - 1.0, traces
+
+
+def _keep(states: np.ndarray, rows, values) -> None:
+    """Keep states[rows], float64 (states, C(2n, n)), and each one's one-spin negativity in place of negativity's
+    last ring states (see _last_cut); each entry is copied once, to a head or a tail."""
+    global _last_cut
+    heads = states[rows, :_HEAD].view(f"V{8 * min(_HEAD, states.shape[1])}")[:, 0].tolist()  # as bytes
+    tails = states[rows, _HEAD:].view(np.int64) if states.shape[1] > _HEAD else None
+    _last_cut = ((SYMMETRY_MIN_DIM, REFLECTION_TOL), packed_qubits(states.shape[1:]), tails,
+                 dict(zip(heads, enumerate(values))))
 
 
 def keep_ring_states(states: np.ndarray) -> np.ndarray:
     """states, a float64 (..., C(2n, n)) stack, after solving cut 0 of its ring states at once (_solve, _ring)
-    and keeping their values for negativity in place of its last ones.  A state off the ring, not finite or
-    failing negativity's checks keeps nothing, nor does a stack whose eigensolve raises LinAlgError."""
-    global _last_cut
+    and keeping them with their values for negativity (_keep).  A state off the ring, not finite or failing
+    negativity's checks keeps nothing, nor does a stack whose eigensolve raises LinAlgError."""
     flat = states.reshape(-1, states.shape[-1])
     ring = _ring(flat) & np.isfinite(flat).all(axis=1)
-    flat = flat if ring.all() else flat[ring]
     try:
-        raw, traces = _solve(flat, *_cut(packed_qubits(flat.shape[-1:]), SYMMETRY_MIN_DIM, 0))
+        raw, traces = _solve(flat if ring.all() else flat[ring],
+                             *_cut(packed_qubits(flat.shape[-1:]), SYMMETRY_MIN_DIM, 0))
     except np.linalg.LinAlgError:
         return states
-    _last_cut = ((SYMMETRY_MIN_DIM, REFLECTION_TOL), {
-        state[:_HEAD].tobytes(): (state[_HEAD:].tobytes(), 0.0 if value <= ZERO_SNAP else value)
-        for state, value, trace in zip(flat, raw, traces)
-        if value >= NEGATIVITY_FLOOR and abs(trace - 1.0) <= -NEGATIVITY_FLOOR})
+    good = (raw >= NEGATIVITY_FLOOR) & (abs(traces - 1.0) <= -NEGATIVITY_FLOOR)  # NaN fails both
+    _keep(flat, np.flatnonzero(ring)[good], np.where(raw <= ZERO_SNAP, 0.0, raw)[good].tolist())
     return states
 
 
 def negativity(rho: np.ndarray, part_a) -> float:
     """Sum of |eigenvalues| of the partial transpose, minus one.
 
-    rho is a packed state (operators.packed_positions) or a dense matrix.  Zero for states that stay
-    positive under partial transposition.  Noise around zero is snapped to exactly 0.  A value below
-    -1e-9, or a trace off 1 by more than 1e-9 (or NaN), signals an invalid input state and raises
-    NumericalInvariantError.  A dense matrix is packed when an exact count puts every nonzero entry in
-    its excitation blocks; else its whole transpose is diagonalized.  A packed state is solved as a
-    stack of one (see _solve).  Every one-spin cut of a float64 packed ring state (see _ring) gathers
-    the same bits, so its value is kept, for that state alone after such a cut, for each ring state of
-    a stack after keep_ring_states: a later call with (k,), k an int, on a state of the same bytes
-    returns it without a gather, an index or a trace sum.  Any other call is solved in full.
+    rho is a packed state (operators.packed_positions) or a dense matrix.  Zero for states that stay positive
+    under partial transposition.  Noise around zero is snapped to exactly 0.  A value below -1e-9, or a trace
+    off 1 by more than 1e-9 (or NaN), signals an invalid input state and raises NumericalInvariantError.  A
+    dense matrix is packed when an exact count puts every nonzero entry in its excitation blocks; else its
+    whole transpose is diagonalized, and no cut index is built.  A packed state is solved as a stack of one
+    (see _solve).  Every one-spin cut of a float64 packed ring state (see _ring) gathers the same bits, so its
+    value is kept (see _last_cut), for that state alone after such a cut, for each ring state of a stack after
+    keep_ring_states: a later call with (k,), k an int, on a float64 1-D array of the same bits returns it first,
+    from a dict lookup by its head's bytes and an int64 compare of its tail.  Any other call is solved in full.
     """
-    global _last_cut
-    rho, n_qubits = _state(np.asarray(rho))
     last = _last_cut  # read once; a call on another thread replaces the whole entry
     if (last is not None and type(part_a) is tuple and len(part_a) == 1 and type(part_a[0]) is int
-            and 0 <= part_a[0] < n_qubits and rho.dtype == np.float64 and rho.ndim == 1
-            and last[0] == (SYMMETRY_MIN_DIM, REFLECTION_TOL)
-            and (kept := last[1].get(rho[:_HEAD].tobytes())) and rho[_HEAD:].tobytes() == kept[0]):
+            and 0 <= part_a[0] < last[1] and type(rho) is np.ndarray and rho.ndim == 1
+            and rho.dtype == _FLOAT64 and last[0] == (SYMMETRY_MIN_DIM, REFLECTION_TOL)
+            and (kept := last[3].get(rho[:_HEAD].tobytes()))
+            and (last[2] is None or np.array_equal(rho[_HEAD:].view(np.int64), last[2][kept[0]]))):
         return kept[1]
+    rho, n_qubits = _state(np.asarray(rho))
     part = qubit_subset(part_a, n_qubits)
-    index, layout = _cut(n_qubits, SYMMETRY_MIN_DIM, *part)
+    if rho.ndim == 1 or len(part) == n_qubits:  # the dense route reads no index: _cut only rejects all spins
+        index, layout = _cut(n_qubits, SYMMETRY_MIN_DIM, *part)
     try:
         if rho.ndim == 2:  # a dense matrix with an entry off its excitation blocks
             raw = float(np.abs(np.linalg.eigvalsh(partial_transpose(rho, part))).sum() - 1.0)
             trace = sum(rho.diagonal().real.tolist())  # the eigenvalues' sum, in basis-index order
         else:
-            [raw], [trace] = _solve(rho[None], index, layout)
+            raw, trace = np.concatenate(_solve(rho[None], index, layout)).tolist()
     except np.linalg.LinAlgError as exc:  # eigvalsh may not converge on a NaN or inf entry
         raise NumericalInvariantError(f"partial transpose: {exc}; input is not a valid state") from exc
     if not raw >= NEGATIVITY_FLOOR:  # NaN fails too
@@ -251,8 +261,7 @@ def negativity(rho: np.ndarray, part_a) -> float:
         raise NumericalInvariantError(f"trace {trace:.12g} is not 1; input is not a valid state")
     value = 0.0 if raw <= ZERO_SNAP else raw
     if len(part) == 1 and rho.ndim == 1 and rho.dtype == np.float64 and _ring(rho[None])[0]:
-        _last_cut = ((SYMMETRY_MIN_DIM, REFLECTION_TOL),
-                     {rho[:_HEAD].tobytes(): (rho[_HEAD:].tobytes(), value)})
+        _keep(rho[None], [0], [value])
     return value
 
 
@@ -266,11 +275,11 @@ def multipartite_negativity(rho: np.ndarray) -> NegativityReport:
     rho, m = _state(np.asarray(rho))  # a dense state is packed once, for all m cuts
     if m < 2:
         raise ValueError("a one-spin state has no one-spin-versus-rest cut; m >= 2 spins are needed")
-    values = tuple(negativity(rho, (k,)) for k in range(m))
+    values = tuple([negativity(rho, (k,)) for k in range(m)])
     low = min(values)
-    if low == 0.0 or low == max(values):
+    if low == 0.0 or values.count(low) == m:
         mean = low
     else:
         # geometric mean through logs: robust to underflow of the raw product
-        mean = math.exp(sum(map(math.log, values)) / len(values))
+        mean = math.exp(sum(map(math.log, values)) / m)
     return NegativityReport(per_cut=values, multipartite=mean)

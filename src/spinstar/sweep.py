@@ -9,6 +9,7 @@ canonical order (lexicographic by t, eta, epsilon), byte-identical across runs.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import operator
@@ -103,8 +104,8 @@ def evaluate_cell(spec: SpectralDecomposition, params: SpinStarParams,
     rows = len(reports)
     columns = {"epsilon": [float(params.epsilon)] * rows, "eta": [float(params.eta)] * rows,
                "t": [float(t) for t in temperatures], "neg_multi": [r.multipartite for r in reports]}
-    for k in range(params.m):
-        columns[f"neg_cut_{k + 1}"] = [r.per_cut[k] for r in reports]
+    for k, values in enumerate(zip(*[r.per_cut for r in reports]) if rows else [()] * params.m, 1):
+        columns[f"neg_cut_{k}"] = list(values)
     columns.update(ground_energy=[manifold.energy] * rows, ground_degeneracy=[manifold.degeneracy] * rows,
                    degenerate_cell=[manifold.degeneracy > 1] * rows)
     return columns
@@ -124,12 +125,13 @@ def sweep_records(grid: SweepGrid) -> dict[str, list]:
     temps = tuple(sorted(grid.temperatures))
     cells = [SpinStarParams(grid.m, grid.omega, eps, eta)
              for eta in np.linspace(*grid.eta_axis) for eps in eps_values]
+    stride = len(cells)
     for i, (params, (spec, states)) in enumerate(zip(cells, solve_stack(cells, temps))):
         cell = evaluate_cell(spec, params, temps, states)
         if i == 0:
-            columns = {name: [None] * (len(temps) * len(cells)) for name in cell}
+            columns = {name: [None] * (len(temps) * stride) for name in cell}
         for name, values in cell.items():
-            columns[name][i::len(cells)] = values  # rows t_index * len(cells) + i
+            columns[name][i::stride] = values  # rows t_index * len(cells) + i
     return columns
 
 
@@ -143,16 +145,17 @@ def format_field(value) -> str:
 
 
 def write_records(columns: dict, stream, fmt: str = "csv") -> None:
-    """Write columns, each output name to an equal-length list, one write per row: as CSV headed by
-    the names, each column formatted once, or as JSON lines."""
+    """Write columns, each output name to an equal-length list, one write per row: as CSV headed by the names,
+    a field formatted once while its value and type (True, 1 and 1.0 are three) are among the last 256 met, as
+    a 41x41 map's axes, flags and a row's equal cuts are (a bounded cache, for large sweeps), or as JSON lines."""
     names = list(columns)
     if fmt == "json":
         for row in zip(*columns.values()):
             stream.write(json.dumps(dict(zip(names, row))) + "\n")
     elif fmt == "csv":
         stream.write(",".join(names) + "\n")
-        for row in zip(*(map(format_field, column) for column in columns.values())):
-            stream.write(",".join(row) + "\n")
+        field = functools.lru_cache(maxsize=256, typed=True)(format_field)
+        stream.writelines(map("{}\n".format, map(",".join, zip(*(map(field, c) for c in columns.values())))))
     else:
         raise ValueError(f"unknown output format {fmt!r}")
 

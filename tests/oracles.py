@@ -211,3 +211,13 @@ def collective_spin_spectrum(m, omega, eps):
                                     omega * (spins - 0.5) - split, omega * (spins - 0.5) + split])
         levels += [multiplet] * copies
     return np.sort(np.concatenate(levels))
+
+
+def einsum_orbit_rows(gibbs, half):
+    """thermal._orbit_rows as two einsum contractions, the form it had before its row sum became two
+    multiply-adds; an oracle for its bits."""
+    rows, row_entries, columns, column_entries = half
+    left = np.einsum("...rcij,rci->...rcj", np.take(gibbs.reshape(*gibbs.shape[:-3], -1, gibbs.shape[-1]),
+                                                    rows, axis=-2), row_entries)
+    picked = np.take(left.reshape(*left.shape[:-2], -1), columns, axis=-1)
+    return np.einsum("...rsk,sk->...rs", picked, column_entries)

@@ -1,6 +1,7 @@
 import hashlib
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -617,3 +618,44 @@ def test_a_ring_state_the_reflection_does_not_fix_is_solved_whole_on_its_own(mon
     shapes = cut_zero_shapes(m)
     assert calls == shapes  # solved once, on its own, with its split block whole
     assert_cuts_match_the_brute_transpose(unpack(chiral), per_cut)
+
+
+def test_a_dense_state_off_its_blocks_builds_no_cut_index():
+    rho = random_density(np.random.default_rng(9), 2 ** 9)
+    entanglement._cut.cache_clear()
+    assert negativity(rho, (0,)) > 0
+    assert entanglement._cut.cache_info().currsize == 0
+    with pytest.raises(ValueError, match="part_a must be a proper subset of the qubits"):
+        negativity(rho, range(9))
+
+
+@pytest.mark.parametrize("m", [4, 11])
+def test_a_state_that_differs_from_a_kept_one_past_its_head_is_solved_in_full(m, monkeypatch):
+    # one entry moved by an ulp: entry 65, entry _HEAD + 1 (in the tail from m=6 on) or the one before the last
+    # entry, and the last entry
+    stack = ring_states(m, [0.1])
+    for entry in (65, min(entanglement._HEAD + 1, stack.shape[-1] - 2), stack.shape[-1] - 1):
+        other = stack[0].copy()
+        other[entry] = np.nextafter(other[entry], np.inf)
+        monkeypatch.setattr(entanglement, "_last_cut", None)
+        fresh = negativity(other, (1,))
+        calls = recorded_spectra(monkeypatch)
+        entanglement.keep_ring_states(stack)
+        calls.clear()
+        assert negativity(stack[0], (1,)) == negativity(stack[0], (0,)) and calls == []
+        assert negativity(other, (1,)) == fresh and calls == cut_zero_shapes(m)
+
+
+def test_a_hit_on_a_kept_m11_state_copies_no_state(monkeypatch):
+    stack = ring_states(11, [0.1])
+    calls = recorded_spectra(monkeypatch)
+    entanglement.keep_ring_states(stack)
+    calls.clear()
+    tracemalloc.start()
+    try:
+        negativity(stack[0], (5,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the compare's one bool per tail entry, an eighth of the state, and no copy of it (seven eighths more)
+    assert calls == [] and peak < stack[0].nbytes // 4

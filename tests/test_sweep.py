@@ -302,3 +302,28 @@ def test_results_do_not_depend_on_the_energy_unit(m, scale):
         assert scaled["ground_degeneracy"] == unit["ground_degeneracy"] == [1]
         assert abs(scaled["neg_multi"][0] - unit["neg_multi"][0]) <= 1e-12
         assert np.max(np.abs(np.subtract(per_cut(scaled), per_cut(unit)))) <= 1e-12
+
+
+def test_each_csv_field_is_its_values_format_field():
+    # a per-value format_field join, byte for byte: repeats, both zeros, NaN, None, ints, and a column that
+    # mixes True, 1 and 1.0 with False, 0 and 0.0, which a dict keyed by value alone would merge
+    from spinstar.sweep import format_field
+
+    nan = float("nan")
+    columns = {"x": [0.1, 0.1, -0.0, 0.0, nan, float("nan"), None, 3, 3, np.float64(-0.0)],
+               "mixed": [True, 1, 1.0, False, 0, 0.0, 1, True, 0.0, False],
+               "n": list(range(10)), "flag": [None, True, None, False, 2.5, 2.5, True, 1e-17, nan, 0]}
+    # and more distinct values than the writer's cache holds, beside bools and the ints 0 and 1
+    long = {"v": [(i * 37 % 601) / 7 for i in range(2000)], "flag": [i % 3 == 0 for i in range(2000)],
+            "n": [i % 2 for i in range(2000)]}
+    for table in (long, columns):
+        stream = io.StringIO()
+        write_records(table, stream)
+        assert stream.getvalue() == ",".join(table) + "\n" + "".join(
+            ",".join(map(format_field, row)) + "\n" for row in zip(*table.values()))
+    assert stream.getvalue().splitlines()[1:7] == [
+        "0.1,true,0,", "0.1,1,1,true", "0,1,2,", "0,false,3,false", "nan,0,4,2.5", "nan,0,5,2.5"]
+    json_stream = io.StringIO()
+    write_records(columns, json_stream, fmt="json")
+    assert json_stream.getvalue() == "".join(
+        json.dumps(dict(zip(columns, row))) + "\n" for row in zip(*columns.values()))

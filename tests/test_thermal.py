@@ -21,6 +21,7 @@ from oracles import (
     brute_partial_trace,
     dm,
     eigh,
+    einsum_orbit_rows,
     free_fermion_ring,
     qubit_permutation_matrix,
     random_density,
@@ -338,3 +339,19 @@ def test_each_excitation_block_carries_its_free_fermion_weight(m, eta):
         weights = np.exp(-(energies - energies.min()) / t)
         traces = np.bincount(excitations(m), packed[base + rank])
         assert np.max(np.abs(traces - np.bincount(count, weights) / weights.sum())) <= 1e-12
+
+
+@pytest.mark.parametrize("m", range(2, MAX_M + 1))
+def test_orbit_rows_match_the_einsum_form_bit_for_bit(m, monkeypatch):
+    # every sector half of a stack of two cells, one of them the degenerate crossing, at five temperatures
+    cells = [SpinStarParams(m=m, omega=1.0, epsilon=e, eta=h) for e, h in ((1.3, 0.7), (1.0, 1.0))]
+    calls, orbit_rows = [], thermal._orbit_rows
+
+    def record(gibbs, half):
+        out = orbit_rows(gibbs, half)
+        calls.append(np.array_equal(out.view(np.int64), einsum_orbit_rows(gibbs, half).view(np.int64)))
+        return out
+
+    monkeypatch.setattr(thermal, "_orbit_rows", record)
+    reduced_state(stacked_spectra(symmetry_hamiltonians(cells)), cells[0], [0.0, 0.01, 0.1, 1.0, 5.0])
+    assert len(calls) >= 2 * m and all(calls)
